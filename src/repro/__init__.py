@@ -39,7 +39,7 @@ from .ukernel import (
     make_reference_kernel,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BlisGemm",

@@ -47,7 +47,6 @@ from .placement import (
     search_configurations,
 )
 from .plane import (
-    LiveBatch,
     LiveResult,
     LiveServed,
     PoolSpec,
@@ -90,7 +89,6 @@ __all__ = [
     "Controller",
     "DEADLINE",
     "ExecutedBatch",
-    "LiveBatch",
     "LiveResult",
     "LiveServed",
     "MockController",

@@ -82,12 +82,9 @@ def parse_duration_ms(spec: str) -> float:
     return value
 
 
-def _parse_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
-        description="Request-level inference serving simulation on the "
-        "threaded GEMM model.",
-    )
+def _base_parser(prog: str, description: str) -> argparse.ArgumentParser:
+    """The arguments the planner and the live plane share."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
         "outdir",
         nargs="?",
@@ -98,12 +95,6 @@ def _parse_args(argv):
         "--machine",
         default="carmel",
         help=f"target machine (default carmel; known: {sorted(MACHINES)})",
-    )
-    parser.add_argument(
-        "--model",
-        default="resnet50",
-        choices=SERVABLE_MODELS,
-        help="workload to serve (default resnet50)",
     )
     parser.add_argument(
         "--arrivals",
@@ -122,13 +113,7 @@ def _parse_args(argv):
         "--duration",
         type=float,
         default=1000.0,
-        help="synthetic trace duration in ms (default 1000)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="synthetic trace seed (default 0)",
+        help="trace duration in ms (default 1000)",
     )
     parser.add_argument(
         "--slo-p99",
@@ -143,6 +128,48 @@ def _parse_args(argv):
         default=2.0,
         metavar="DUR",
         help="batcher max wait time (default 2ms)",
+    )
+    parser.add_argument(
+        "--use-tuned",
+        action="store_true",
+        help="activate the tune cache for per-layer kernel dispatch",
+    )
+    parser.add_argument(
+        "--tune-cache",
+        default=None,
+        help="tune cache root for --use-tuned (default out/tunecache)",
+    )
+    obslib.add_logging_args(parser)
+    return parser
+
+
+def _activate_tune_cache(args) -> None:
+    """Route per-layer kernel dispatch through the tune cache."""
+    from repro import tune
+
+    cache = tune.activate(
+        tune.TuneCache(args.tune_cache or tune.default_cache_root())
+    )
+    log.info(f"per-layer dispatch: tuned (cache {cache.root})")
+
+
+def _parse_args(argv):
+    parser = _base_parser(
+        "python -m repro.serve",
+        "Request-level inference serving simulation on the threaded "
+        "GEMM model.",
+    )
+    parser.add_argument(
+        "--model",
+        default="resnet50",
+        choices=SERVABLE_MODELS,
+        help="workload to serve (default resnet50)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="synthetic trace seed (default 0)",
     )
     parser.add_argument(
         "--batch-candidates",
@@ -168,16 +195,6 @@ def _parse_args(argv):
         help="pin the batch-size cap (skips the batch search)",
     )
     parser.add_argument(
-        "--use-tuned",
-        action="store_true",
-        help="activate the tune cache for per-layer kernel dispatch",
-    )
-    parser.add_argument(
-        "--tune-cache",
-        default=None,
-        help="tune cache root for --use-tuned (default out/tunecache)",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -190,26 +207,14 @@ def _parse_args(argv):
         metavar="PATH",
         help="write the metrics registry as JSON (+ .prom text format)",
     )
-    obslib.add_logging_args(parser)
     return parser.parse_args(argv)
 
 
 def _parse_live_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve live",
-        description="Live asyncio serving plane with admission control "
-        "over sim/real/mock controllers.",
-    )
-    parser.add_argument(
-        "outdir",
-        nargs="?",
-        default="results",
-        help="report directory (default results/)",
-    )
-    parser.add_argument(
-        "--machine",
-        default="carmel",
-        help=f"target machine (default carmel; known: {sorted(MACHINES)})",
+    parser = _base_parser(
+        "python -m repro.serve live",
+        "Live asyncio serving plane with admission control over "
+        "sim/real/mock controllers.",
     )
     parser.add_argument(
         "--controller",
@@ -241,36 +246,10 @@ def _parse_live_args(argv):
         "(default: equal across pools)",
     )
     parser.add_argument(
-        "--arrivals",
-        default="synthetic",
-        help="'synthetic' (default), 'diurnal:base=5,peak=50,...', "
-        "'mmpp:rates=5:80,dwell=300,...', or a request_id,arrival_ms "
-        "CSV path",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=15.0,
-        help="synthetic arrival rate in requests/s (default 15)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=1000.0,
-        help="trace duration in ms (default 1000)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=0,
         help="trace and mix seed (default 0)",
-    )
-    parser.add_argument(
-        "--slo-p99",
-        type=parse_duration_ms,
-        default=50.0,
-        metavar="DUR",
-        help="p99 latency SLO, e.g. 50ms or 0.05s (default 50ms)",
     )
     parser.add_argument(
         "--admission",
@@ -284,13 +263,6 @@ def _parse_live_args(argv):
         type=int,
         default=8,
         help="per-pool batch-size cap (default 8)",
-    )
-    parser.add_argument(
-        "--max-wait",
-        type=parse_duration_ms,
-        default=2.0,
-        metavar="DUR",
-        help="batcher max wait time (default 2ms)",
     )
     parser.add_argument(
         "--mock-service",
@@ -307,16 +279,6 @@ def _parse_live_args(argv):
         "(wall-clock controllers only); runs for --duration ms",
     )
     parser.add_argument(
-        "--use-tuned",
-        action="store_true",
-        help="activate the tune cache for per-layer kernel dispatch",
-    )
-    parser.add_argument(
-        "--tune-cache",
-        default=None,
-        help="tune cache root for --use-tuned (default out/tunecache)",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -330,7 +292,6 @@ def _parse_live_args(argv):
         help="write the metrics registry as JSON (+ .prom text format), "
         "including the admitted/shed counters",
     )
-    obslib.add_logging_args(parser)
     return parser.parse_args(argv)
 
 
@@ -432,12 +393,7 @@ def _live_main(argv) -> int:
         return 2
 
     if args.use_tuned:
-        from repro import tune
-
-        cache = tune.activate(
-            tune.TuneCache(args.tune_cache or tune.default_cache_root())
-        )
-        log.info(f"per-layer dispatch: tuned (cache {cache.root})")
+        _activate_tune_cache(args)
 
     timeline = timeline_for(args.controller)
     obs = obslib.obs_from_cli(
@@ -563,12 +519,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.use_tuned:
-        from repro import tune
-
-        cache = tune.activate(
-            tune.TuneCache(args.tune_cache or tune.default_cache_root())
-        )
-        log.info(f"per-layer dispatch: tuned (cache {cache.root})")
+        _activate_tune_cache(args)
 
     try:
         batch_candidates = [

@@ -1,28 +1,31 @@
 """The dynamic batcher and the request-level serving simulation.
 
-Requests queue centrally in arrival order; each of the R replicas is a
-server that, whenever it goes idle, coalesces the head of the queue into
-one batched inference.  The batch-forming policy is the classic
-max-batch-size / max-wait-time rule:
-
-* a batch *closes* as soon as ``max_batch`` requests have arrived, or
-  when the oldest queued request has waited ``max_wait_ms`` — whichever
-  comes first;
-* a replica that frees up *after* the close time dispatches immediately
-  with whatever has arrived by then (up to ``max_batch``) — a backlogged
-  server never waits on a timer.
-
-The simulation is a deterministic discrete-event loop: ties between
-replicas break by index, requests are served strictly in arrival order,
-and the batched service time comes from a caller-supplied
+Requests queue centrally in arrival order; each of the R replicas
+coalesces the head of the queue into one batched inference under the
+max-batch-size / max-wait-time rule.  The rule lives once, in
+:class:`BatchFormer`; :func:`simulate_serving` here and the live
+plane's :class:`repro.serve.plane.ReplicaPool` are its two drivers.
+The batched service time comes from a caller-supplied
 ``service_time_ms(batch_size)`` (the per-layer executor), so the whole
 latency/throughput report is a pure function of (trace, config).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.obs import Obs, TraceContext, batch_id_for
 
@@ -65,10 +68,10 @@ class ServedRequest:
 class ExecutedBatch:
     """One dispatched batch: where, when, how big, how long.
 
-    ``formed_ms`` is the instant the replica became available to the
-    head request (``max(replica free, head arrival)``) — forming begins
-    there, so member queue-wait ends and batch-wait starts at that
-    boundary, mirroring the live plane's definition.
+    ``formed_ms`` is the instant the core bound the replica to the
+    batch — the boundary between a member request's queue-wait and its
+    batch-wait.  The live plane also records the pool's ``model`` and
+    the deterministic causal ``batch_id`` member spans reference.
     """
 
     replica: int
@@ -76,6 +79,8 @@ class ExecutedBatch:
     dispatch_ms: float
     service_ms: float
     formed_ms: Optional[float] = None
+    model: str = ""
+    batch_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,75 @@ class ServingResult:
         return len(self.served) / len(self.batches)
 
 
+class Dispatch(NamedTuple):
+    """One batch the core hands to a replica."""
+
+    replica: int
+    members: List
+    formed_ms: float
+    dispatch_ms: float
+
+
+class BatchFormer:
+    """The batch-forming rule of one pool, with no clock and no asyncio.
+
+    State: the FIFO queue (items need an ``arrival_ms``), the idle
+    replicas, and the count of dispatched batches still running.  A
+    batch forms when the queue is non-empty and a replica is idle: the
+    lowest-index idle replica is bound and ``formed_ms`` is that
+    instant.  It closes when the queue holds ``max_batch`` requests or
+    the head has waited ``max_wait_ms``, whichever comes first, so a
+    replica bound after the close time dispatches at once.  Ties: an
+    arrival at the dispatch instant joins the batch — a driver feeds
+    every arrival at ``now_ms`` before it polls there.
+    """
+
+    def __init__(self, policy: BatchPolicy, replicas: int):
+        """Start with an empty queue and every replica idle."""
+        if replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        self.policy = policy
+        self.queue: Deque = deque()
+        self.idle: List[int] = list(range(replicas))  # a min-heap
+        self.in_flight = 0
+        self._forming: Optional[Tuple[int, float]] = None
+
+    def arrive(self, item) -> None:
+        """Queue one arrival."""
+        self.queue.append(item)
+
+    def release(self, replica: int) -> None:
+        """Return ``replica`` from a finished (or failed) batch."""
+        heapq.heappush(self.idle, replica)
+        self.in_flight -= 1
+
+    def poll(self, now_ms: float) -> Union[Dispatch, float, None]:
+        """The decision at ``now_ms``.
+
+        A :class:`Dispatch` to run now (poll again: more may follow),
+        the close instant to wake at, or ``None`` when only a new
+        arrival or release can change anything.
+        """
+        queue = self.queue
+        if not queue:
+            return None
+        if self._forming is None:
+            if not self.idle:
+                return None
+            self._forming = (heapq.heappop(self.idle), now_ms)
+        max_batch = self.policy.max_batch
+        if len(queue) < max_batch:
+            close_ms = queue[0].arrival_ms + self.policy.max_wait_ms
+            if now_ms < close_ms:
+                return close_ms
+            max_batch = len(queue)
+        replica, formed_ms = self._forming
+        self._forming = None
+        self.in_flight += 1
+        members = [queue.popleft() for _ in range(max_batch)]
+        return Dispatch(replica, members, formed_ms, now_ms)
+
+
 def simulate_serving(
     trace: Sequence[Request],
     replicas: int,
@@ -124,10 +198,12 @@ def simulate_serving(
 ) -> ServingResult:
     """Run a trace through R replicas under one batching policy.
 
-    ``service_time_ms(b)`` prices one batched inference of size ``b``
-    (milliseconds); it is called once per distinct batch size when the
-    caller memoizes (the executor does), so the event loop itself is
-    O(requests).
+    A discrete-event loop drives one :class:`BatchFormer` over the
+    sorted trace: at each event instant it releases the replicas that
+    finish then, queues the arrivals, and dispatches what the core
+    forms.  ``service_time_ms(b)`` prices one batched inference of size
+    ``b`` (milliseconds); the executor memoizes it per batch size, so
+    the loop itself is O(requests + batches).
 
     ``obs`` attaches the observability bundle: the simulation emits the
     per-request lifecycle (arrival instant, queued span, batch-execute
@@ -137,61 +213,56 @@ def simulate_serving(
     config) — and aggregate counters/histograms into ``obs.metrics``.
     The default ``None`` takes the zero-overhead path.
     """
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    former = BatchFormer(policy, replicas)
     requests = sorted(trace, key=lambda r: (r.arrival_ms, r.request_id))
-    free = [0.0] * replicas
+    running: List[Tuple[float, int]] = []  # (completion_ms, replica) heap
     served: List[ServedRequest] = []
     batches: List[ExecutedBatch] = []
     i = 0
-    while i < len(requests):
-        replica = min(range(replicas), key=lambda r: (free[r], r))
-        head = requests[i]
-        ready = max(free[replica], head.arrival_ms)
-        # the batch closes at the max_batch-th arrival or the head's
-        # wait-time expiry, whichever first; a replica that frees later
-        # than that dispatches immediately with what has arrived
-        full_at = i + policy.max_batch - 1
-        close = head.arrival_ms + policy.max_wait_ms
-        if full_at < len(requests):
-            # the batch can still fill; otherwise only the wait timer
-            # closes it — the batcher never peeks at the trace's end
-            close = min(requests[full_at].arrival_ms, close)
-        dispatch = max(ready, close)
-        size = 0
-        while (
-            i + size < len(requests)
-            and size < policy.max_batch
-            and requests[i + size].arrival_ms <= dispatch
-        ):
-            size += 1
-        service = service_time_ms(size)
-        if service <= 0:
-            raise ValueError(
-                f"service_time_ms({size}) must be positive, got {service}"
-            )
-        completion = dispatch + service
-        for req in requests[i : i + size]:
-            served.append(
-                ServedRequest(
-                    request=req,
-                    replica=replica,
-                    batch_size=size,
-                    dispatch_ms=dispatch,
-                    completion_ms=completion,
+    wake_ms = math.inf
+    while i < len(requests) or former.queue:
+        now = min(
+            requests[i].arrival_ms if i < len(requests) else math.inf,
+            running[0][0] if running else math.inf,
+            wake_ms,
+        )
+        while running and running[0][0] <= now:
+            former.release(heapq.heappop(running)[1])
+        while i < len(requests) and requests[i].arrival_ms <= now:
+            former.arrive(requests[i])
+            i += 1
+        decision = former.poll(now)
+        while isinstance(decision, Dispatch):
+            size = len(decision.members)
+            service = service_time_ms(size)
+            if service <= 0:
+                raise ValueError(
+                    f"service_time_ms({size}) must be positive, "
+                    f"got {service}"
+                )
+            completion = now + service
+            for req in decision.members:
+                served.append(
+                    ServedRequest(
+                        request=req,
+                        replica=decision.replica,
+                        batch_size=size,
+                        dispatch_ms=now,
+                        completion_ms=completion,
+                    )
+                )
+            batches.append(
+                ExecutedBatch(
+                    replica=decision.replica,
+                    size=size,
+                    dispatch_ms=now,
+                    service_ms=service,
+                    formed_ms=decision.formed_ms,
                 )
             )
-        batches.append(
-            ExecutedBatch(
-                replica=replica,
-                size=size,
-                dispatch_ms=dispatch,
-                service_ms=service,
-                formed_ms=ready,
-            )
-        )
-        free[replica] = completion
-        i += size
+            heapq.heappush(running, (completion, decision.replica))
+            decision = former.poll(now)
+        wake_ms = math.inf if decision is None else decision
     result = ServingResult(served=tuple(served), batches=tuple(batches))
     if obs is not None:
         emit_serving_obs(result, obs)

@@ -75,6 +75,8 @@ class ModelExecutor:
         self.ctx._exo_traces = self.base_ctx._exo_traces
         #: (layer_id, batch) -> (seconds, main tile)
         self._layer_memo: Dict[Tuple[int, int], tuple] = {}
+        #: batch -> modelled milliseconds of one forward pass
+        self._batch_memo: Dict[int, float] = {}
 
     def layer_time(
         self, layer: LayerGemm, batch: int
@@ -104,13 +106,18 @@ class ModelExecutor:
 
         Sums per-instance layer times in instance order — the exact
         accumulation of the threaded eval sweep, so batch=1 on one
-        replica reproduces its totals to the last bit.
+        replica reproduces its totals to the last bit.  The sum is
+        memoized per batch size, so a serving simulation prices each
+        distinct size once.
         """
-        total_seconds = 0.0
-        for _, layer in self.instances:
-            seconds, _ = self.layer_time(layer, batch)
-            total_seconds += seconds
-        return total_seconds * 1e3
+        total_ms = self._batch_memo.get(batch)
+        if total_ms is None:
+            total_seconds = 0.0
+            for _, layer in self.instances:
+                seconds, _ = self.layer_time(layer, batch)
+                total_seconds += seconds
+            total_ms = self._batch_memo[batch] = total_seconds * 1e3
+        return total_ms
 
     def layer_breakdown_ms(self, batch: int) -> Dict[str, float]:
         """Per-layer milliseconds of one batched forward pass.
@@ -191,17 +198,13 @@ def prewarm_executors(
     ``candidates`` = total rows), then materializes only each winner's
     partition — the identical tie-break as the scalar search, so the
     memo entries are bit-identical to lazy pricing.  Returns the number
-    of memo entries filled; a numpy-less interpreter is a no-op (the
-    lazy path still works).
+    of memo entries filled.
     """
-    try:
-        import numpy as np
+    import numpy as np
 
-        from repro.sim import vectorized as vec
-    except ImportError:  # pragma: no cover - the CI image always has numpy
-        return 0
     from repro.blis.params import analytical_tile_params, clamp_tiles
     from repro.eval.harness import plane_chunk_plans
+    from repro.sim import vectorized as vec
     from repro.sim.parallel import candidate_grids, partition_plane
 
     requests = []  # (ex, key, m, n, k, main, tiles, grids)

@@ -17,10 +17,12 @@ The plane is written against the timeline interface
 traffic on the wall clock (``real`` controller) or runs as a
 byte-deterministic discrete-event simulation on the virtual clock
 (``sim`` controller) — the property the determinism tests and the CI
-smoke gate pin down.  Batch forming follows the offline batcher's
-max-batch/max-wait rule exactly: with admission disabled, a sim-mode
-run reproduces :func:`repro.serve.batcher.simulate_serving` record for
-record.
+smoke gate pin down.  Batch forming is not written here: each pool
+feeds arrivals and replica releases to the same synchronous
+:class:`repro.serve.batcher.BatchFormer` the offline planner drives,
+and only waits, spawns, and runs controllers.  With admission
+disabled, a sim-mode run reproduces
+:func:`repro.serve.batcher.simulate_serving` record for record.
 
 Request lifecycle spans, queue-depth series, and shed/admit counters
 land in :mod:`repro.obs` when a bundle is attached; the shed counters
@@ -43,19 +45,26 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.isa.machine import MachineModel
 from repro.obs import Obs, SloMonitor, TraceContext, batch_id_for
 
 from .admission import AdmissionPolicy, estimated_latency_ms
-from .batcher import LATENCY_BUCKETS_MS
+from .batcher import (
+    LATENCY_BUCKETS_MS,
+    BatchFormer,
+    BatchPolicy,
+    Dispatch,
+    ExecutedBatch,
+)
 from .controllers import Controller, controller_for
 from .executor import ModelExecutor, prewarm_executors
-from .timeline import DEADLINE, VirtualTimeline
+from .report import latency_summary
+from .timeline import VirtualTimeline
 from .traffic import Request
 
 #: HTTP reason phrases the front door emits
@@ -88,12 +97,12 @@ class PoolSpec:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
+        self.policy  # validates max_batch / max_wait_ms
+
+    @property
+    def policy(self) -> BatchPolicy:
+        """The pool's batching rule."""
+        return BatchPolicy(self.max_batch, self.max_wait_ms)
 
     @property
     def cores_used(self) -> int:
@@ -140,51 +149,22 @@ class SheddedRequest:
     reason: str
 
 
-@dataclass(frozen=True)
-class LiveBatch:
-    """One dispatched batch on one replica.
-
-    ``formed_ms`` is the instant the batch former acquired the replica
-    and began holding the batch open — the boundary between a member
-    request's queue-wait and its batch-wait.  ``batch_id`` is the
-    deterministic causal id member spans reference.
-    """
-
-    model: str
-    replica: int
-    size: int
-    dispatch_ms: float
-    service_ms: float
-    formed_ms: Optional[float] = None
-    batch_id: str = ""
-
-
-class _QueuedRequest:
+class _QueuedRequest(NamedTuple):
     """A queued arrival and the future its response resolves."""
 
-    __slots__ = ("request_id", "arrival_ms", "future", "ctx")
-
-    def __init__(
-        self,
-        request_id: int,
-        arrival_ms: float,
-        future,
-        ctx: Optional[TraceContext] = None,
-    ):
-        self.request_id = request_id
-        self.arrival_ms = arrival_ms
-        self.future = future
-        self.ctx = ctx
+    request_id: int
+    arrival_ms: float
+    future: Any
+    ctx: Optional[TraceContext] = None
 
 
 class ReplicaPool:
-    """One model's servers: a queue, R replicas, and the batch former.
+    """One model's servers: an asyncio shell around a :class:`BatchFormer`.
 
-    The dispatch loop mirrors the offline batcher: take the head of the
-    queue, acquire the lowest-index free replica, hold the batch open
-    until it fills to ``max_batch`` or the head has waited
-    ``max_wait_ms`` (a replica that frees up later dispatches
-    immediately), then hand it to the controller.
+    Arrivals and replica releases feed the core; the dispatch loop asks
+    it what to do at the current instant, spawns every batch it forms,
+    and otherwise waits for the next event or the close instant the
+    core names.
     """
 
     def __init__(
@@ -203,31 +183,28 @@ class ReplicaPool:
         self.obs = obs
         self.slo = slo
         self.track_base = track_base  # queue track; replica r is base+1+r
-        self.queue: Deque[_QueuedRequest] = deque()
-        self.free: List[int] = list(range(spec.replicas))
-        self.in_flight = 0
+        self.former = BatchFormer(spec.policy, spec.replicas)
         self.closing = False
         self.served: List[LiveServed] = []
-        self.batches: List[LiveBatch] = []
-        self._queue_wake = None
-        self._replica_wake = None
-        self._drain_wake = None
+        self.batches: List[ExecutedBatch] = []
+        self._wake = None
+        self._held = False  # dispatch held for an arrival due now
+        self._arrival_due_ms = math.inf
         self._dispatcher = None
-        self._outstanding = 0  # batches spawned but not finished
         self._batch_seq = 0  # dispatch sequence, names batch ids
 
     # -- admission inputs ---------------------------------------------
 
     def queue_depth(self) -> int:
         """Undispatched requests currently queued."""
-        return len(self.queue)
+        return len(self.former.queue)
 
     def estimated_latency_ms(self, queued: int) -> float:
         """Projected latency of the last of ``queued`` pending requests."""
         return estimated_latency_ms(
             queued,
             self.spec.replicas,
-            self.in_flight,
+            self.former.in_flight,
             self.spec.max_batch,
             self.controller.service_estimate_ms(self.spec.max_batch),
         )
@@ -240,112 +217,97 @@ class ReplicaPool:
 
     def submit(self, item: _QueuedRequest) -> None:
         """Enqueue one admitted arrival and wake the dispatcher."""
-        self.queue.append(item)
+        self.former.arrive(item)
         self._emit_queue_depth()
-        if self._queue_wake is not None:
-            wake, self._queue_wake = self._queue_wake, None
-            self.timeline.fire(wake, "queued")
+        self._kick()
+
+    def expect_arrival(self, at_ms: float) -> None:
+        """Declare that no arrival before ``at_ms`` is still to come.
+
+        A trace injector calls this before it sleeps until its next
+        arrival; the dispatcher holds off at an instant an arrival is
+        still due at, so that arrival joins (the core's tie rule).
+        """
+        self._arrival_due_ms = at_ms
+        if self._held:
+            self._held = False
+            self._kick()
 
     async def close(self) -> None:
         """Drain and stop: callers must have awaited every response."""
         self.closing = True
-        if self._queue_wake is not None:
-            wake, self._queue_wake = self._queue_wake, None
-            self.timeline.fire(wake, "closing")
+        self._kick()
         if self._dispatcher is not None:
             await self.timeline.join(self._dispatcher)
-        while self._outstanding:
-            self._drain_wake = wake = self.timeline.create_future()
-            await self.timeline.wait(wake)
-            if self._drain_wake is wake:
-                self._drain_wake = None
+
+    def _kick(self) -> None:
+        if self._wake is not None:
+            wake, self._wake = self._wake, None
+            self.timeline.fire(wake)
 
     async def _dispatch_loop(self) -> None:
+        timeline, former = self.timeline, self.former
         while True:
-            while not self.queue and not self.closing:
-                self._queue_wake = wake = self.timeline.create_future()
-                await self.timeline.wait(wake)
-                if self._queue_wake is wake:
-                    self._queue_wake = None
-            if not self.queue:
-                return  # closing, fully drained
-            replica = await self._acquire_replica()
-            formed_ms = self.timeline.now_ms()  # forming begins here
-            head = self.queue[0]
-            close_ms = head.arrival_ms + self.spec.max_wait_ms
-            while (
-                len(self.queue) < self.spec.max_batch
-                and self.timeline.now_ms() < close_ms
-            ):
-                self._queue_wake = wake = self.timeline.create_future()
-                fired = await self.timeline.wait_or_deadline(wake, close_ms)
-                if self._queue_wake is wake:
-                    self._queue_wake = None
-                if fired is DEADLINE:
-                    break
-            size = min(self.spec.max_batch, len(self.queue))
-            items = [self.queue.popleft() for _ in range(size)]
-            self._emit_queue_depth()
-            self.in_flight += 1
-            self._outstanding += 1
-            self.timeline.spawn(self._run_batch(replica, items, formed_ms))
+            now_ms = timeline.now_ms()
+            self._held = now_ms >= self._arrival_due_ms
+            decision = None if self._held else former.poll(now_ms)
+            if isinstance(decision, Dispatch):
+                self._emit_queue_depth()
+                timeline.spawn(self._run_batch(decision))
+                continue
+            if self.closing and not (former.queue or former.in_flight):
+                return
+            self._wake = wake = timeline.create_future()
+            if decision is None:
+                await timeline.wait(wake)
+            else:
+                await timeline.wait_or_deadline(wake, decision)
+            if self._wake is wake:
+                self._wake = None
 
-    async def _acquire_replica(self) -> int:
-        while not self.free:
-            self._replica_wake = wake = self.timeline.create_future()
-            await self.timeline.wait(wake)
-            if self._replica_wake is wake:
-                self._replica_wake = None
-        self.free.sort()
-        return self.free.pop(0)
-
-    def _release_replica(self, replica: int) -> None:
-        self.free.append(replica)
-        if self._replica_wake is not None:
-            wake, self._replica_wake = self._replica_wake, None
-            self.timeline.fire(wake, replica)
-
-    async def _run_batch(
-        self, replica: int, items: List[_QueuedRequest], formed_ms: float
-    ) -> None:
+    async def _run_batch(self, dispatch: Dispatch) -> None:
         seq = self._batch_seq
         self._batch_seq += 1
-        dispatch_ms = self.timeline.now_ms()
-        service_ms = await self.controller.execute(len(items))
-        completion_ms = self.timeline.now_ms()
-        batch = LiveBatch(
-            model=self.spec.model,
-            replica=replica,
-            size=len(items),
-            dispatch_ms=dispatch_ms,
-            service_ms=service_ms,
-            formed_ms=formed_ms,
-            batch_id=batch_id_for(self.spec.model, seq),
-        )
-        self.batches.append(batch)
-        for item in items:
-            record = LiveServed(
-                request_id=item.request_id,
+        items = dispatch.members
+        try:
+            service_ms = await self.controller.execute(len(items))
+        except Exception as exc:
+            # a controller fault fails this batch's requests, not the
+            # plane: each response future resolves with the exception
+            for item in items:
+                self.timeline.fire(item.future, exc)
+        else:
+            completion_ms = self.timeline.now_ms()
+            batch = ExecutedBatch(
                 model=self.spec.model,
-                replica=replica,
-                batch_size=len(items),
-                arrival_ms=item.arrival_ms,
-                dispatch_ms=dispatch_ms,
-                completion_ms=completion_ms,
+                replica=dispatch.replica,
+                size=len(items),
+                dispatch_ms=dispatch.dispatch_ms,
+                service_ms=service_ms,
+                formed_ms=dispatch.formed_ms,
+                batch_id=batch_id_for(self.spec.model, seq),
             )
-            self.served.append(record)
-            if self.slo is not None:
-                self.slo.record_completion(
-                    completion_ms, completion_ms - item.arrival_ms
+            self.batches.append(batch)
+            for item in items:
+                record = LiveServed(
+                    request_id=item.request_id,
+                    model=self.spec.model,
+                    replica=dispatch.replica,
+                    batch_size=len(items),
+                    arrival_ms=item.arrival_ms,
+                    dispatch_ms=dispatch.dispatch_ms,
+                    completion_ms=completion_ms,
                 )
-            self.timeline.fire(item.future, record)
-        self.in_flight -= 1
-        self._release_replica(replica)
-        self._emit_batch_obs(batch, items, completion_ms)
-        self._outstanding -= 1
-        if self._drain_wake is not None and self._outstanding == 0:
-            wake, self._drain_wake = self._drain_wake, None
-            self.timeline.fire(wake, "drained")
+                self.served.append(record)
+                if self.slo is not None:
+                    self.slo.record_completion(
+                        completion_ms, completion_ms - item.arrival_ms
+                    )
+                self.timeline.fire(item.future, record)
+            self._emit_batch_obs(batch, items, completion_ms)
+        finally:
+            self.former.release(dispatch.replica)
+            self._kick()
 
     # -- observability ------------------------------------------------
 
@@ -354,14 +316,14 @@ class ReplicaPool:
             return
         self.obs.tracer.counter(
             f"queue_depth_{self.spec.model}",
-            len(self.queue),
+            self.queue_depth(),
             ts_us=self.timeline.now_ms() * 1e3,
             tid=self.track_base,
         )
 
     def _emit_batch_obs(
         self,
-        batch: LiveBatch,
+        batch: ExecutedBatch,
         items: List[_QueuedRequest],
         completion_ms: float,
     ) -> None:
@@ -540,9 +502,11 @@ class ServePlane:
     def submit(self, model: str, request_id: Optional[int] = None):
         """Admit or shed one arrival at the current timeline instant.
 
-        Returns the response future (resolves to :class:`LiveServed`)
-        on admit, or the :class:`SheddedRequest` on shed — the decision
-        is synchronous, so a rejected caller pays nothing but the gate.
+        Returns the response future on admit, or the
+        :class:`SheddedRequest` on shed — the decision is synchronous,
+        so a rejected caller pays nothing but the gate.  The future
+        resolves to the :class:`LiveServed` record, or to the exception
+        the controller raised on the request's batch.
         """
         pool = self.pools.get(model)
         if pool is None:
@@ -673,7 +637,12 @@ class ServePlane:
                      "request_id": outcome.request_id},
                     sort_keys=True,
                 )
-            served: LiveServed = await self.timeline.wait(outcome)
+            served = await self.timeline.wait(outcome)
+            if isinstance(served, Exception):
+                return 503, "application/json", json.dumps(
+                    {"error": "controller fault", "detail": str(served)},
+                    sort_keys=True,
+                )
             return 200, "application/json", json.dumps(
                 {
                     "request_id": served.request_id,
@@ -766,7 +735,7 @@ class LiveResult:
 
     served: Tuple[LiveServed, ...]
     shed: Tuple[SheddedRequest, ...]
-    batches: Tuple[LiveBatch, ...]
+    batches: Tuple[ExecutedBatch, ...]
     arrived: int
 
     @property
@@ -789,7 +758,8 @@ def run_trace(
     timeline — virtual for the sim controller (the run completes in
     milliseconds of real time however long the trace is), wall for the
     real controller.  Returns once every admitted request completed
-    and the pools drained.
+    and the pools drained; then a controller fault on any request's
+    batch is raised as the controller's own exception.
     """
     if not arrivals:
         raise ValueError(
@@ -799,31 +769,25 @@ def run_trace(
 
     async def _main():
         plane.start()
+        pools = plane.pools.values()
         pending = []
         for model, request in arrivals:
+            for pool in pools:
+                pool.expect_arrival(request.arrival_ms)
             await plane.timeline.sleep_until(request.arrival_ms)
             outcome = plane.submit(model, request.request_id)
             if not isinstance(outcome, SheddedRequest):
                 pending.append(outcome)
-        for future in pending:
-            await plane.timeline.wait(future)
+        for pool in pools:
+            pool.expect_arrival(math.inf)
+        outcomes = [await plane.timeline.wait(f) for f in pending]
         await plane.close()
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
 
     plane.timeline.execute(_main())
-    served = []
-    batches = []
-    for model in sorted(plane.pools):
-        pool = plane.pools[model]
-        served.extend(pool.served)
-        batches.extend(pool.batches)
-    served.sort(key=lambda s: (s.completion_ms, s.request_id))
-    batches.sort(key=lambda b: (b.dispatch_ms, b.model, b.replica))
-    return LiveResult(
-        served=tuple(served),
-        shed=tuple(plane.shed),
-        batches=tuple(batches),
-        arrived=plane.arrived,
-    )
+    return _live_result(plane)
 
 
 def run_http(
@@ -862,6 +826,10 @@ def run_http(
         await plane.close()
 
     plane.timeline.execute(_main())
+    return _live_result(plane)
+
+
+def _live_result(plane: ServePlane) -> LiveResult:
     served = []
     batches = []
     for model in sorted(plane.pools):
@@ -869,32 +837,13 @@ def run_http(
         served.extend(pool.served)
         batches.extend(pool.batches)
     served.sort(key=lambda s: (s.completion_ms, s.request_id))
+    batches.sort(key=lambda b: (b.dispatch_ms, b.model, b.replica))
     return LiveResult(
         served=tuple(served),
         shed=tuple(plane.shed),
         batches=tuple(batches),
         arrived=plane.arrived,
     )
-
-
-def _percentiles(latencies: List[float]) -> dict:
-    from .report import percentile
-
-    if not latencies:
-        return {
-            "mean_ms": None,
-            "p50_ms": None,
-            "p95_ms": None,
-            "p99_ms": None,
-            "max_ms": None,
-        }
-    return {
-        "mean_ms": sum(latencies) / len(latencies),
-        "p50_ms": percentile(latencies, 50),
-        "p95_ms": percentile(latencies, 95),
-        "p99_ms": percentile(latencies, 99),
-        "max_ms": max(latencies),
-    }
 
 
 def live_report(
@@ -931,7 +880,7 @@ def live_report(
                 if pool.batches
                 else 0.0
             ),
-            "latency": _percentiles(latencies),
+            "latency": latency_summary(latencies),
         }
     latencies = [s.latency_ms for s in result.served]
     makespan = result.makespan_ms
@@ -949,7 +898,7 @@ def live_report(
             admitted / makespan * 1e3 if makespan > 0 else 0.0
         ),
         "makespan_ms": makespan,
-        "latency": _percentiles(latencies),
+        "latency": latency_summary(latencies),
     }
     slo_met = bool(
         latencies and totals["latency"]["p99_ms"] <= slo_p99_ms

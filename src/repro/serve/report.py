@@ -33,6 +33,21 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+def latency_summary(latencies: Sequence[float]) -> dict:
+    """Mean, nearest-rank p50/p95/p99, and max (``None`` when empty)."""
+    if not latencies:
+        return dict.fromkeys(
+            ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms")
+        )
+    return {
+        "mean_ms": sum(latencies) / len(latencies),
+        "p50_ms": percentile(latencies, 50),
+        "p95_ms": percentile(latencies, 95),
+        "p99_ms": percentile(latencies, 99),
+        "max_ms": max(latencies),
+    }
+
+
 def serving_metrics(result: ServingResult) -> dict:
     """Aggregate one simulation into the report's metric block."""
     latencies = result.latencies_ms
@@ -52,11 +67,7 @@ def serving_metrics(result: ServingResult) -> dict:
         "batch_sizes": {str(k): v for k, v in sorted(sizes.items())},
         "throughput_rps": result.throughput_rps,
         "makespan_ms": result.makespan_ms,
-        "mean_ms": sum(latencies) / len(latencies),
-        "p50_ms": percentile(latencies, 50),
-        "p95_ms": percentile(latencies, 95),
-        "p99_ms": percentile(latencies, 99),
-        "max_ms": max(latencies),
+        **latency_summary(latencies),
     }
 
 

@@ -20,6 +20,7 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import threading
@@ -28,6 +29,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs as obslib
 from repro.obs.context import trace_id_for
@@ -35,7 +38,6 @@ from repro.isa.machine import CARMEL, machine_by_name
 from repro.serve import (
     DEADLINE,
     AdmissionPolicy,
-    BatchPolicy,
     MockController,
     PoolSpec,
     Request,
@@ -344,59 +346,109 @@ class TestLivePlaneBatching:
         assert replicas == {0, 1}
 
 
+#: arrival gaps, waits and service times: integers make arrivals tie
+#: with close and completion instants, floats cover the general case
+_TIMES = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+)
+
+
 class TestOfflineParity:
-    def test_live_sim_matches_simulate_serving(self):
+    @given(
+        gaps=st.lists(_TIMES, min_size=1, max_size=40),
+        replicas=st.integers(min_value=1, max_value=3),
+        max_batch=st.integers(min_value=1, max_value=5),
+        max_wait=_TIMES,
+        base=st.integers(min_value=1, max_value=12),
+        per_item=st.sampled_from([0.0, 0.5, 1.5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_live_sim_matches_simulate_serving(
+        self, gaps, replicas, max_batch, max_wait, base, per_item
+    ):
         """The live plane replays the offline batcher's schedule.
 
-        Same trace, same policy, same (memoized constant) service
-        pricing: every request must dispatch and complete at the same
-        instant with the same batch size.  Replica *indices* may
-        legitimately differ when several replicas are idle, so they
-        are not compared.
+        Same trace, same policy, same affine service pricing: every
+        request must dispatch and complete at the same instant with
+        the same batch size — including an arrival that ties with a
+        close or completion instant, which joins the batch on both
+        drivers.  Replica *indices* are not compared.
         """
-        trace = synthetic_trace(120.0, 2_000.0, seed=5)
-        policy = BatchPolicy(max_batch=4, max_wait_ms=3.0)
-
-        def service(batch):
-            return 6.0 + 1.5 * batch
-
-        offline = simulate_serving(trace, 2, policy, service)
-
-        spec = PoolSpec(
-            "resnet50",
-            replicas=2,
-            threads=2,
-            max_batch=policy.max_batch,
-            max_wait_ms=policy.max_wait_ms,
+        trace = [
+            Request(request_id=i, arrival_ms=a)
+            for i, a in enumerate(itertools.accumulate(gaps))
+        ]
+        spec = PoolSpec("resnet50", replicas, 1, max_batch, max_wait)
+        offline = simulate_serving(
+            trace, replicas, spec.policy, lambda b: base + per_item * b
         )
-        timeline = VirtualTimeline()
-        plane = ServePlane(
-            CARMEL,
-            [spec],
-            timeline,
-            controller="mock",
-            mock_service_ms=1.0,
-        )
-        pool = plane.pools["resnet50"]
-        pool.controller = MockController(
-            timeline, base_ms=6.0, per_item_ms=1.5
+        plane = _mock_plane([spec])
+        plane.pools["resnet50"].controller = MockController(
+            plane.timeline, base_ms=base, per_item_ms=per_item
         )
         live = run_trace(plane, [("resnet50", r) for r in trace])
 
-        assert len(live.served) == len(offline.served)
-        offline_by_id = {
-            s.request.request_id: s for s in offline.served
-        }
-        for served in live.served:
-            ref = offline_by_id[served.request_id]
-            assert served.dispatch_ms == pytest.approx(ref.dispatch_ms)
-            assert served.completion_ms == pytest.approx(
-                ref.completion_ms
+        assert {
+            s.request_id: (s.dispatch_ms, s.completion_ms, s.batch_size)
+            for s in live.served
+        } == {
+            s.request.request_id: (
+                s.dispatch_ms, s.completion_ms, s.batch_size
             )
-            assert served.batch_size == ref.batch_size
-        assert sorted(b.size for b in live.batches) == sorted(
-            b.size for b in offline.batches
-        )
+            for s in offline.served
+        }
+
+
+class _FirstCallFails(MockController):
+    """A mock controller whose first ``execute`` raises."""
+
+    calls = 0
+
+    async def execute(self, batch):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("replica fault")
+        return await super().execute(batch)
+
+
+class TestControllerFaults:
+    def _plane(self):
+        spec = PoolSpec("resnet50", 1, 1, max_batch=1, max_wait_ms=0.0)
+        plane = _mock_plane([spec])
+        pool = plane.pools["resnet50"]
+        pool.controller = _FirstCallFails(plane.timeline, base_ms=10.0)
+        return plane, pool
+
+    def test_fault_surfaces_as_the_controllers_error(self):
+        """A raising controller fails its batch, not the run: the error
+        surfaces from ``run_trace`` (not as a virtual-time deadlock),
+        the replica is back, and the later batches still ran."""
+        plane, pool = self._plane()
+        trace = [
+            ("resnet50", Request(request_id=i, arrival_ms=float(i)))
+            for i in range(4)
+        ]
+        with pytest.raises(RuntimeError, match="replica fault"):
+            run_trace(plane, trace)
+        assert pool.controller.calls == 4
+        assert [s.request_id for s in pool.served] == [1, 2, 3]
+        assert pool.former.idle == [0]
+        assert pool.former.in_flight == 0
+
+    def test_front_door_answers_a_fault_with_503(self):
+        plane, pool = self._plane()
+
+        async def infer_twice():
+            plane.start()
+            first = await plane.handle_http("POST", "/v1/infer", b"{}")
+            second = await plane.handle_http("POST", "/v1/infer", b"{}")
+            await plane.close()
+            return first, second
+
+        first, second = plane.timeline.execute(infer_twice())
+        assert first[0] == 503 and "replica fault" in first[2]
+        assert second[0] == 200
 
 
 class TestAdmissionOnThePlane:
