@@ -37,6 +37,7 @@ from pathlib import Path
 
 from repro import obs as obslib
 from repro.obs import profile as obs_profile
+from repro.sim import pipeline
 from repro.workloads.resnet50 import RESNET50_LAYERS
 from repro.workloads.vgg16 import VGG16_LAYERS
 
@@ -333,12 +334,14 @@ def main(argv=None) -> int:
     if obs is None:
         return _run(isa, outdir, threads, use_tuned, None)
     profiler = obslib.GemmProfiler(tracer=obs.tracer, metrics=obs.metrics)
+    memo_before = pipeline.memo_counters()
     with obs_profile.using(profiler):
         rc = _run(isa, outdir, threads, use_tuned, obs)
     obs.metrics.counter(
         "eval.gemm_profile_records",
         help="modelled GEMMs captured by the profiler",
     ).inc(len(profiler.records))
+    pipeline.export_memo_counters(obs.metrics, memo_before)
     for path in obs.write_outputs():
         log.info(f"wrote {path}")
     return rc

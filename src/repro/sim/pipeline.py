@@ -21,10 +21,21 @@ abstract core described by a :class:`~repro.isa.machine.MachineModel`:
 
 Steady-state cycles per k-iteration are measured by simulating a window of
 iterations and differencing completion times across the middle of the run.
+
+The schedule is greedy, in trace order: each op issues at the first cycle
+at or after its operands are ready where it fits.  Occupancy only grows,
+so a full cycle stays full; each resource (issue slots, vector slots, one
+per pipe) keeps a skip map from full cycles to the next free one, and the
+search jumps over a blocked range instead of probing cycle by cycle.  The
+result is memoized on the trace's content and the core's parameters.  The
+stepped simulator this replaced is the test-only oracle in
+``tests/test_pipeline_oracle.py``; the two agree bit for bit
+(``docs/model.md``, "The pipeline scheduler").
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -182,115 +193,217 @@ def _tile_transfer_ops(ir: Proc, kloop) -> Tuple[int, int]:
 # The scheduler
 # ---------------------------------------------------------------------------
 
+#: distinct (ops, core, window) simulations the steady-state memo keeps
+_MEMO_SIZE = 512
+
+_COUNTER_HELP = {
+    "sim.pipeline.simulations": "steady-state pipeline simulations run",
+    "sim.pipeline.memo_hits": "steady-state results served by the memo",
+}
+
 
 @dataclass
 class PipelineModel:
     """Resource-and-latency scheduler for kernel traces."""
 
     machine: MachineModel = CARMEL
-    vector_dispatch: Optional[int] = None  # defaults to the FMA pipe count
 
     def _dispatch_width(self) -> int:
-        if self.vector_dispatch is not None:
-            return self.vector_dispatch
         return self.machine.pipe_count("fma")
+
+    @property
+    def vector_dispatch(self) -> int:
+        """Vector dispatch slots per cycle: the machine's FMA pipe count.
+
+        Part of the simulation key ``perfbench/ledger.py`` records.
+        """
+        return self._dispatch_width()
 
     def steady_cycles_per_iter(
         self, trace: KernelTrace, window: int = 48
     ) -> float:
-        """Simulate ``window`` k-iterations; return steady-state cycles/iter."""
-        machine = self.machine
-        vec_width = self._dispatch_width()
-        ready: Dict[tuple, int] = {}
-        pipe_busy: Dict[Tuple[int, str], int] = {}
-        vec_busy: Dict[int, int] = {}
-        issue_busy: Dict[int, int] = {}
-        iter_finish: List[int] = []
+        """Simulate ``window`` k-iterations; return steady-state cycles/iter.
 
-        for it in range(window):
-            finish = 0
-            for op in trace.ops:
-                start = 0
-                for src in op.srcs:
-                    key = src if _is_chain(op, src) else (src, it)
-                    if key in ready:
-                        start = max(start, ready[key])
-                    elif src in ready:
-                        start = max(start, ready[src])
-                # vector ops occupy their unit for the machine's chime
-                # count (RVV cores with a datapath narrower than VLEN)
-                chime = (
-                    machine.vector_chime if op.pipe in VECTOR_PIPES else 1
-                )
-                cycle = start
-                while not self._can_issue(
-                    cycle, op, chime, machine, vec_width,
-                    pipe_busy, vec_busy, issue_busy,
-                ):
-                    cycle += 1
-                for cc in range(cycle, cycle + chime):
-                    pipe_busy[(cc, op.pipe)] = (
-                        pipe_busy.get((cc, op.pipe), 0) + 1
-                    )
-                    if op.pipe in VECTOR_PIPES:
-                        vec_busy[cc] = vec_busy.get(cc, 0) + 1
-                issue_busy[cycle] = issue_busy.get(cycle, 0) + 1
-                done = cycle + (chime - 1) + op.latency
-                if op.dest is not None:
-                    if op.accumulate:
-                        ready[op.dest] = done
-                    else:
-                        ready[(op.dest, it)] = done
-                finish = max(finish, done)
-            iter_finish.append(finish)
-
-        lo = window // 4
-        hi = 3 * window // 4
-        return (iter_finish[hi] - iter_finish[lo]) / (hi - lo)
-
-    @staticmethod
-    def _can_issue(
-        cycle, op, chime, machine, vec_width, pipe_busy, vec_busy, issue_busy
-    ):
-        for cc in range(cycle, cycle + chime):
-            if pipe_busy.get((cc, op.pipe), 0) >= machine.pipe_count(op.pipe):
-                return False
-            if op.pipe in VECTOR_PIPES and vec_busy.get(cc, 0) >= vec_width:
-                return False
-        if issue_busy.get(cycle, 0) >= machine.issue_width:
-            return False
-        return True
-
-    # -- per-invocation composition --------------------------------------------
-
-    def kernel_invocation_cycles(
-        self, trace: KernelTrace, kc: int, call_overhead: float = 15.0
-    ) -> float:
-        """Modelled cycles for one kernel call with depth ``kc``.
-
-        The k-loop runs at the steady-state rate; the C-tile prologue and
-        epilogue transfers run at the vector-dispatch width; a fixed call
-        overhead covers stack and argument setup.
+        The result depends only on the ops' content and the core's
+        pipes, issue width, chime and dispatch width, so it is memoized
+        on those: regenerating a kernel does not re-simulate it.
         """
-        per_iter = self.steady_cycles_per_iter(trace)
-        vec_width = self._dispatch_width()
-        edge = (
-            (trace.prologue_vector_ops + trace.epilogue_vector_ops)
-            * self.machine.vector_chime
-            / vec_width
+        machine = self.machine
+        return _steady_state(
+            _signature(trace.ops),
+            machine.pipes,
+            machine.issue_width,
+            machine.vector_chime,
+            self._dispatch_width(),
+            window,
         )
-        return kc * per_iter + edge + call_overhead + trace.extra_call_cycles
 
-    def kernel_gflops(
-        self, trace: KernelTrace, kc: int, useful_flops: Optional[int] = None
-    ) -> float:
-        """Solo-mode GFLOPS for repeated invocations at depth ``kc``."""
-        cycles = self.kernel_invocation_cycles(trace, kc)
-        flops = useful_flops if useful_flops is not None else (
-            trace.flops_per_iter * kc
+
+def _signature(ops: List[TraceOp]) -> tuple:
+    """The ops as the scheduler reads them, value keys renumbered.
+
+    Register symbols carry per-process serial numbers, so two generations
+    of one kernel differ only in their keys.  The scheduler only tests
+    keys and ``(key, iteration)`` pairs for equality, and a register key
+    is never such a pair, so numbering each distinct key by first
+    appearance changes no schedule and makes the two one memo entry.
+    """
+    ids: Dict[tuple, int] = {}
+
+    def number(key: tuple) -> int:
+        return ids.setdefault(key, len(ids))
+
+    return tuple(
+        (
+            op.pipe,
+            op.latency,
+            None if op.dest is None else number(op.dest),
+            tuple(number(src) for src in op.srcs),
+            op.accumulate,
         )
-        return flops / cycles * self.machine.freq_ghz
+        for op in ops
+    )
 
 
-def _is_chain(op: TraceOp, src: tuple) -> bool:
-    return op.accumulate and op.dest == src
+def memo_counters() -> Dict[str, int]:
+    """Steady-state simulations run and memo hits served in this process."""
+    info = _steady_state.cache_info()
+    return {
+        "sim.pipeline.simulations": info.misses,
+        "sim.pipeline.memo_hits": info.hits,
+    }
+
+
+def export_memo_counters(metrics, since: Dict[str, int]) -> None:
+    """Add one run's simulations and memo hits to ``metrics``.
+
+    ``since`` is :func:`memo_counters` taken when the run started; the
+    memo is process-wide, so only the difference belongs to the run.
+    """
+    for name, value in memo_counters().items():
+        metrics.counter(name, help=_COUNTER_HELP[name]).inc(
+            value - since[name]
+        )
+
+
+class _Resource:
+    """Per-cycle occupancy of one resource, with a skip map over full cycles.
+
+    Occupancy only grows, so a full cycle stays full.  ``skip`` maps every
+    full cycle to a later cycle no further than the next one that is not
+    full (union-find with path compression).
+    """
+
+    __slots__ = ("cap", "used", "skip")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.used: Dict[int, int] = {}
+        self.skip: Dict[int, int] = {}
+
+    def next_free(self, cycle: int) -> int:
+        """The first cycle at or after ``cycle`` that is not full."""
+        skip = self.skip
+        root = cycle
+        while root in skip:
+            root = skip[root]
+        while cycle != root:
+            nxt = skip[cycle]
+            skip[cycle] = root
+            cycle = nxt
+        return root
+
+    def take(self, cycle: int) -> None:
+        """Occupy one slot at ``cycle``, which must not be full."""
+        used = self.used.get(cycle, 0) + 1
+        self.used[cycle] = used
+        if used >= self.cap:
+            self.skip[cycle] = cycle + 1
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _steady_state(
+    ops: tuple,
+    pipes: Tuple[Tuple[str, int], ...],
+    issue_width: int,
+    vector_chime: int,
+    vec_width: int,
+    window: int,
+) -> float:
+    """Greedy schedule of ``window`` iterations of the signature ``ops``."""
+    issue = _Resource(issue_width)
+    vector = _Resource(vec_width)
+    units: Dict[str, _Resource] = {}
+    plan = []
+    for pipe, latency, dest, srcs, accumulate in ops:
+        if pipe not in units:
+            cap = next((n for name, n in pipes if name == pipe), 1)
+            units[pipe] = _Resource(cap)
+        # vector ops occupy their unit for the machine's chime count
+        # (RVV cores with a datapath narrower than VLEN)
+        is_vec = pipe in VECTOR_PIPES
+        plan.append((
+            units[pipe],
+            vector if is_vec else None,
+            vector_chime if is_vec else 1,
+            latency, dest, srcs, accumulate,
+        ))
+
+    ready: Dict[object, int] = {}
+    iter_finish: List[int] = []
+    for it in range(window):
+        finish = 0
+        for unit, vec, chime, latency, dest, srcs, accumulate in plan:
+            start = 0
+            for src in srcs:
+                key = src if accumulate and dest == src else (src, it)
+                if key in ready:
+                    start = max(start, ready[key])
+                elif src in ready:
+                    start = max(start, ready[src])
+            cycle = _first_fit(start, chime, unit, vec, issue)
+            for cc in range(cycle, cycle + chime):
+                unit.take(cc)
+                if vec is not None:
+                    vec.take(cc)
+            issue.take(cycle)
+            done = cycle + (chime - 1) + latency
+            if dest is not None:
+                if accumulate:
+                    ready[dest] = done
+                else:
+                    ready[(dest, it)] = done
+            finish = max(finish, done)
+        iter_finish.append(finish)
+
+    lo = window // 4
+    hi = 3 * window // 4
+    return (iter_finish[hi] - iter_finish[lo]) / (hi - lo)
+
+
+def _first_fit(
+    cycle: int,
+    chime: int,
+    unit: _Resource,
+    vec: Optional[_Resource],
+    issue: _Resource,
+) -> int:
+    """The first cycle ``c >= cycle`` an op can issue at.
+
+    The issue slot must be free at ``c``, and the op's unit (and vector
+    slots) at every cycle of ``[c, c + chime)``.  When cycle ``cc`` of
+    that range is full, every start up to ``cc`` overlaps it and every
+    start before the resource's next free cycle is itself full, so the
+    search jumps straight there.
+    """
+    while True:
+        cycle = issue.next_free(cycle)
+        for cc in range(cycle, cycle + chime):
+            blocked = unit.next_free(cc)
+            if blocked == cc and vec is not None:
+                blocked = vec.next_free(cc)
+            if blocked != cc:
+                cycle = blocked
+                break
+        else:
+            return cycle

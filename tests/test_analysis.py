@@ -37,6 +37,13 @@ from repro.analysis import (
     verify_target,
 )
 from repro.analysis.__main__ import main as check_main
+from repro.analysis.verifier import (
+    _classify_cache,
+    _classify_formals,
+    _instr_checked,
+    _instr_procs,
+    _verify_instr_proc,
+)
 from repro.core.loopir import Call, For, Interval, WindowExpr, update
 from repro.isa.targets import ISA_TARGETS, target
 from repro.sim.pipeline import trace_from_kernel
@@ -225,6 +232,20 @@ def test_census_agrees_with_timing_model_trace():
     assert verify_kernel(
         kernel, trace=trace_from_kernel(kernel)
     ).ok
+
+
+def test_identity_caches_ignore_a_recycled_id(monkeypatch):
+    """An entry left under a proc's id by another proc is recomputed."""
+    instrs = _instr_procs(_neon_kernel().proc.ir)
+    proc, stranger = instrs[0], instrs[1]
+    kinds = _classify_formals(proc)
+    findings = _verify_instr_proc(proc)
+    monkeypatch.setitem(_classify_cache, id(proc), (stranger, {}))
+    monkeypatch.setitem(
+        _instr_checked, id(proc), (stranger, ["stale finding"])
+    )
+    assert _classify_formals(proc) == kinds
+    assert _verify_instr_proc(proc) == findings
 
 
 def test_error_catalogue_is_complete():
