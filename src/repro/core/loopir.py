@@ -3,7 +3,10 @@
 Every ``@proc`` parses into a :class:`Proc`: a list of formal arguments, a
 list of assertion predicates, and a statement block.  Statements and
 expressions are immutable dataclasses; scheduling primitives rewrite by
-constructing new trees (structural sharing makes this cheap).
+constructing new trees.  Sharing is structural: :func:`update` hands back
+the node itself when no field changes, so a rewrite rebuilds only the
+path to what it changed and every unchanged subtree of its result is the
+very same object as in its input.
 
 The node set intentionally mirrors Exo's core IR:
 
@@ -21,7 +24,7 @@ Statements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .memory import DRAM, Memory
@@ -271,6 +274,28 @@ def expr_type(e: Expr) -> Type:
     return e.type
 
 
+_MISSING = object()
+
+
 def update(node, **changes):
-    """Functional update of any frozen IR dataclass."""
-    return dc_replace(node, **changes)
+    """Functional update of any frozen IR dataclass.
+
+    Returns ``node`` itself when every changed field already ``is`` its
+    current value; otherwise a new node sharing the fields not changed.
+    An unknown field name raises ``TypeError``.
+    """
+    fields = node.__dict__
+    for name, value in changes.items():
+        if fields.get(name, _MISSING) is not value:
+            break
+    else:
+        return node
+    unknown = changes.keys() - fields.keys()
+    if unknown:
+        raise TypeError(
+            f"{type(node).__name__} has no field {min(unknown)!r}"
+        )
+    new = object.__new__(type(node))
+    # frozen dataclasses forbid setattr, so install the fields wholesale
+    object.__setattr__(new, "__dict__", {**fields, **changes})
+    return new

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from ..affine import simplify_expr, try_constant
-from ..loopir import Alloc, BinOp, Const, Expr, For, Pass, Proc, update
+from ..affine import delinearize, linearize, try_constant
+from ..loopir import BinOp, Const, Expr, For, Pass, Proc, Read, update
 from ..prelude import SchedulingError
 from ..proc import Procedure
-from ..traversal import map_stmts
-from ..typesys import TensorType
+from ..traversal import map_expr, map_stmts
+from ..typesys import INDEX, TensorType
 
 
 def rename(p: Procedure, new_name: str) -> Procedure:
@@ -17,24 +17,36 @@ def rename(p: Procedure, new_name: str) -> Procedure:
     return Procedure(update(p.ir, name=new_name))
 
 
-def _fold_expr(e: Expr) -> Expr:
-    """Affine-simplify index expressions; fold numeric identities."""
-    simplified = simplify_expr(e)
-    if isinstance(simplified, BinOp) and not simplified.type.is_indexable():
-        lhs, rhs = _fold_expr(simplified.lhs), _fold_expr(simplified.rhs)
-        # x * 1, 1 * x, x + 0, 0 + x on data arithmetic
-        if simplified.op == "*":
+def _fold_node(e: Expr) -> Expr:
+    """Fold one node whose children are already folded.
+
+    Affine arithmetic goes to canonical form; ``x * 1``, ``1 * x``,
+    ``x + 0`` and ``0 + x`` on data arithmetic reduce to ``x``.
+    """
+    leaf = isinstance(e, Const) or (isinstance(e, Read) and not e.idx)
+    if leaf and e.type is INDEX:
+        return e  # an index leaf is its own canonical form
+    lin = linearize(e)
+    if lin is not None:
+        return delinearize(lin, e.srcinfo)
+    if isinstance(e, BinOp) and not e.type.is_indexable():
+        lhs, rhs = e.lhs, e.rhs
+        if e.op == "*":
             if isinstance(lhs, Const) and lhs.val == 1:
                 return rhs
             if isinstance(rhs, Const) and rhs.val == 1:
                 return lhs
-        if simplified.op == "+":
+        if e.op == "+":
             if isinstance(lhs, Const) and lhs.val == 0:
                 return rhs
             if isinstance(rhs, Const) and rhs.val == 0:
                 return lhs
-        return update(simplified, lhs=lhs, rhs=rhs)
-    return simplified
+    return e
+
+
+def _fold_expr(e: Expr) -> Expr:
+    """Fold ``e`` in one bottom-up pass: every node once, children first."""
+    return map_expr(e, _fold_node)
 
 
 def fold_constants(ir: Proc) -> Proc:
@@ -61,15 +73,6 @@ def fold_constants(ir: Proc) -> Proc:
         if isinstance(typ, TensorType):
             typ = typ.with_shape(tuple(_fold_expr(d) for d in typ.shape))
         args.append(update(a, type=typ))
-
-    def fold_alloc(s):
-        if isinstance(s, Alloc) and isinstance(s.type, TensorType):
-            return update(
-                s, type=s.type.with_shape(tuple(_fold_expr(d) for d in s.type.shape))
-            )
-        return s
-
-    body = map_stmts(body, stmt_fn=fold_alloc)
     preds = tuple(_fold_expr(pr) for pr in ir.preds)
     return update(ir, args=tuple(args), preds=preds, body=body)
 

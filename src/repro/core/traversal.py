@@ -2,7 +2,12 @@
 
 Three workhorses used by every scheduling primitive:
 
-* :func:`map_exprs` / :func:`map_stmts` — bottom-up rewriting with a callback.
+* :func:`map_expr` / :func:`map_stmts` — bottom-up rewriting with a callback.
+  ``map_expr`` calls its callback on every subexpression, children first.
+  ``map_stmts`` calls ``expr_fn`` once on each *statement-level* expression,
+  whole: every index, right-hand side, loop bound, call argument and
+  allocation dimension.  A caller that needs a per-node callback passes
+  ``lambda e: map_expr(e, fn)``.
 * :func:`subst_expr` — capture-avoiding substitution of symbols by
   expressions (both in expression position and, where an entire buffer is
   renamed, in statement l-values).
@@ -42,12 +47,27 @@ from .prelude import Sym
 # ---------------------------------------------------------------------------
 
 
+def _shared(new: tuple, old) -> tuple:
+    """``old`` itself when ``new`` holds exactly its elements, else ``new``."""
+    if (
+        type(old) is tuple
+        and len(new) == len(old)
+        and all(a is b for a, b in zip(new, old))
+    ):
+        return old
+    return new
+
+
+def _map_tuple(fn: Callable, items: tuple) -> tuple:
+    return _shared(tuple(fn(x) for x in items), items)
+
+
 def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     """Rebuild ``e`` bottom-up, applying ``fn`` to every subexpression."""
     if isinstance(e, (Const, StrideExpr)):
         return fn(e)
     if isinstance(e, Read):
-        return fn(update(e, idx=tuple(map_expr(i, fn) for i in e.idx)))
+        return fn(update(e, idx=_map_tuple(lambda i: map_expr(i, fn), e.idx)))
     if isinstance(e, BinOp):
         return fn(update(e, lhs=map_expr(e.lhs, fn), rhs=map_expr(e.rhs, fn)))
     if isinstance(e, USub):
@@ -57,7 +77,7 @@ def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     if isinstance(e, Point):
         return fn(update(e, pt=map_expr(e.pt, fn)))
     if isinstance(e, WindowExpr):
-        return fn(update(e, idx=tuple(map_expr(i, fn) for i in e.idx)))
+        return fn(update(e, idx=_map_tuple(lambda i: map_expr(i, fn), e.idx)))
     raise TypeError(f"unknown expression node: {type(e).__name__}")
 
 
@@ -68,43 +88,41 @@ def map_stmts(
 ) -> Tuple[Stmt, ...]:
     """Rebuild a statement block bottom-up.
 
-    ``expr_fn`` is applied to every expression (via :func:`map_expr`);
-    ``stmt_fn`` is applied to every rebuilt statement.  Either may be None.
+    ``expr_fn`` is applied once to each statement-level expression (an
+    index, a right-hand side, a loop bound, a call argument or an
+    allocation dimension), which it receives whole; ``stmt_fn`` is applied
+    to every rebuilt statement.  Either may be None.  Statements whose
+    expressions and bodies come back unchanged are returned as they are.
     """
     sf = stmt_fn or (lambda s: s)
-    ef = expr_fn
-
-    def do_expr(e: Expr) -> Expr:
-        return map_expr(e, ef) if ef else e
+    ef = expr_fn or (lambda e: e)
 
     out = []
     for s in stmts:
         if isinstance(s, (Assign, Reduce)):
-            s2 = update(
-                s, idx=tuple(do_expr(i) for i in s.idx), rhs=do_expr(s.rhs)
-            )
+            s2 = update(s, idx=_map_tuple(ef, s.idx), rhs=ef(s.rhs))
         elif isinstance(s, For):
             s2 = update(
                 s,
-                lo=do_expr(s.lo),
-                hi=do_expr(s.hi),
+                lo=ef(s.lo),
+                hi=ef(s.hi),
                 body=map_stmts(s.body, stmt_fn, expr_fn),
             )
         elif isinstance(s, Call):
-            s2 = update(s, args=tuple(do_expr(a) for a in s.args))
+            s2 = update(s, args=_map_tuple(ef, s.args))
         elif isinstance(s, Alloc):
             s2 = s
             typ = s.type
-            if ef and getattr(typ, "is_tensor", lambda: False)():
-                new_shape = tuple(do_expr(d) for d in typ.shape)
-                if new_shape != typ.shape:
+            if getattr(typ, "is_tensor", lambda: False)():
+                new_shape = _map_tuple(ef, typ.shape)
+                if new_shape is not typ.shape:
                     s2 = update(s, type=typ.with_shape(new_shape))
         elif isinstance(s, Pass):
             s2 = s
         else:
             raise TypeError(f"unknown statement node: {type(s).__name__}")
         out.append(sf(s2))
-    return tuple(out)
+    return _shared(tuple(out), stmts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import assert_equivalent
 
 from repro.core import DRAM, SchedulingError, proc
+from repro.core.loopir import Assign, BinOp, Read, const_int
+from repro.core.pprint import expr_to_str
+from repro.core.prelude import Sym
 from repro.core.scheduling import rename, simplify
+from repro.core.traversal import subst_expr, subst_stmts
+from repro.core.typesys import F32, INDEX
 
 
 @proc
@@ -134,3 +139,20 @@ class TestSimplify:
         p = simplify(identities)
         assert "* 1.0" not in str(p)
         assert_equivalent(identities, p, sizes={})
+
+
+class TestSubstStmts:
+    def test_substitutes_each_occurrence_once(self):
+        # i -> i + 1 mentions i again, so applying it at every enclosing
+        # node (rather than once per occurrence) would nest it repeatedly
+        i, x, y = Sym("i"), Sym("x"), Sym("y")
+        i_read = Read(i, (), INDEX)
+        rhs = Read(y, (BinOp("*", const_int(2), i_read, INDEX),), F32)
+        (s,) = subst_stmts(
+            (Assign(x, (i_read,), rhs),), {i: BinOp("+", i_read, const_int(1), INDEX)}
+        )
+        assert expr_to_str(s.rhs) == "y[2 * (i + 1)]"
+        assert expr_to_str(s.rhs) == expr_to_str(
+            subst_expr(rhs, {i: BinOp("+", i_read, const_int(1), INDEX)})
+        )
+        assert expr_to_str(s.idx[0]) == "i + 1"

@@ -81,3 +81,43 @@ def assert_equivalent(
             err_msg=f"buffer {name} diverged between "
             f"{p1.name()} and {p2.name()}",
         )
+
+
+#: the backends whose generated kernels the byte-level pins cover
+PINNED_ISAS = ("neon", "avx512", "rvv128", "rvv256")
+
+
+def family_kernel_specs():
+    """``(label, isa, mr, nr)`` for every pinned family tile and ragged
+    VLA tile (the latter exercise the reduced-AVL ``vsetvl`` tails)."""
+    from repro.analysis.verifier import _ragged_tiles
+    from repro.isa.targets import target
+
+    specs = []
+    for isa in PINNED_ISAS:
+        t = target(isa)
+        for mr, nr in t.family:
+            specs.append((f"{isa}/{mr}x{nr}", isa, mr, nr))
+        for mr, nr in _ragged_tiles(t):
+            specs.append((f"{isa}/vla_{mr}x{nr}", isa, mr, nr))
+    return specs
+
+
+def generate_family_kernel(isa: str, mr: int, nr: int):
+    """Freshly generate one tile: ``[(part_label, GeneratedKernel), ...]``.
+
+    A family tile yields one kernel; a ragged VLA tile yields one kernel
+    per row part (full-width body, reduced-AVL tail).  Nothing is taken
+    from the process-wide registries, so every rewrite actually runs.
+    """
+    from repro.isa.targets import target
+    from repro.ukernel.generator import (
+        generate_microkernel,
+        generate_vla_microkernel,
+    )
+
+    t = target(isa)
+    if t.vla and mr % t.lib["lanes"]:
+        plan = generate_vla_microkernel(mr, nr, t.lib_factory)
+        return [(f"part{off}", kernel) for off, kernel in plan.parts]
+    return [("kernel", generate_microkernel(mr, nr, t.lib))]
