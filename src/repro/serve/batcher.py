@@ -48,7 +48,7 @@ class BatchPolicy:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServedRequest:
     """One request's journey through the server."""
 
@@ -64,7 +64,7 @@ class ServedRequest:
         return self.completion_ms - self.request.arrival_ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutedBatch:
     """One dispatched batch: where, when, how big, how long.
 
@@ -215,25 +215,36 @@ def simulate_serving(
     """
     former = BatchFormer(policy, replicas)
     requests = sorted(trace, key=lambda r: (r.arrival_ms, r.request_id))
+    # arrival instants with an ``inf`` sentinel: the cursor's next
+    # arrival is always ``arrivals[i]``, even after the last request
+    arrivals = [r.arrival_ms for r in requests]
+    arrivals.append(math.inf)
+    total = len(requests)
     running: List[Tuple[float, int]] = []  # (completion_ms, replica) heap
     served: List[ServedRequest] = []
     batches: List[ExecutedBatch] = []
+    queue, arrive, release, poll = (
+        former.queue, former.arrive, former.release, former.poll
+    )
+    heappush, heappop = heapq.heappush, heapq.heappop
+    add_batch = batches.append
     i = 0
     wake_ms = math.inf
-    while i < len(requests) or former.queue:
-        now = min(
-            requests[i].arrival_ms if i < len(requests) else math.inf,
-            running[0][0] if running else math.inf,
-            wake_ms,
-        )
+    while i < total or queue:
+        now = arrivals[i]
+        if running and running[0][0] < now:
+            now = running[0][0]
+        if wake_ms < now:
+            now = wake_ms
         while running and running[0][0] <= now:
-            former.release(heapq.heappop(running)[1])
-        while i < len(requests) and requests[i].arrival_ms <= now:
-            former.arrive(requests[i])
+            release(heappop(running)[1])
+        while arrivals[i] <= now:
+            arrive(requests[i])
             i += 1
-        decision = former.poll(now)
-        while isinstance(decision, Dispatch):
-            size = len(decision.members)
+        decision = poll(now)
+        while type(decision) is Dispatch:
+            replica, members, formed_ms, _ = decision
+            size = len(members)
             service = service_time_ms(size)
             if service <= 0:
                 raise ValueError(
@@ -241,27 +252,13 @@ def simulate_serving(
                     f"got {service}"
                 )
             completion = now + service
-            for req in decision.members:
-                served.append(
-                    ServedRequest(
-                        request=req,
-                        replica=decision.replica,
-                        batch_size=size,
-                        dispatch_ms=now,
-                        completion_ms=completion,
-                    )
-                )
-            batches.append(
-                ExecutedBatch(
-                    replica=decision.replica,
-                    size=size,
-                    dispatch_ms=now,
-                    service_ms=service,
-                    formed_ms=decision.formed_ms,
-                )
-            )
-            heapq.heappush(running, (completion, decision.replica))
-            decision = former.poll(now)
+            served += [
+                ServedRequest(req, replica, size, now, completion)
+                for req in members
+            ]
+            add_batch(ExecutedBatch(replica, size, now, service, formed_ms))
+            heappush(running, (completion, replica))
+            decision = poll(now)
         wake_ms = math.inf if decision is None else decision
     result = ServingResult(served=tuple(served), batches=tuple(batches))
     if obs is not None:

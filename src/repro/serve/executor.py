@@ -108,10 +108,13 @@ class ModelExecutor:
         accumulation of the threaded eval sweep, so batch=1 on one
         replica reproduces its totals to the last bit.  The sum is
         memoized per batch size, so a serving simulation prices each
-        distinct size once.
+        distinct size once; a size no prewarm covered is priced in one
+        vectorized sweep over its layers (:func:`_prewarm_batch`), the
+        same memo entries per-layer lazy pricing gives.
         """
         total_ms = self._batch_memo.get(batch)
         if total_ms is None:
+            _prewarm_batch([self], batch, {})
             total_seconds = 0.0
             for _, layer in self.instances:
                 seconds, _ = self.layer_time(layer, batch)
@@ -187,18 +190,35 @@ class ModelExecutor:
 def prewarm_executors(
     executors: Sequence[ModelExecutor], batches: Sequence[int]
 ) -> int:
-    """Price every executor's (layer, batch) grid in one batched sweep.
+    """Price every executor's (layer, batch) grid for ``batches``.
 
     The placement search prices the same layer shapes once per
     (placement, batch-cap) candidate; doing it lazily costs one scalar
-    grid search per (layer, batch) memo miss.  This collects every miss
-    across ``executors`` x ``batches``, scores *all* their candidate
-    jc/ic/pc grids in a single multi-machine
-    :func:`repro.sim.vectorized.batch_gemm_cycles` call (one obs span,
-    ``candidates`` = total rows), then materializes only each winner's
-    partition — the identical tie-break as the scalar search, so the
-    memo entries are bit-identical to lazy pricing.  Returns the number
-    of memo entries filled.
+    grid search per (layer, batch) memo miss.  Each batch size is one
+    multi-machine :func:`repro.sim.vectorized.batch_gemm_cycles` sweep
+    (one obs span, ``candidates`` = its rows) over the size's misses
+    across ``executors``; one sweep per size keeps the candidate arrays
+    small.  Only each winner's partition is then materialized — the
+    identical tie-break as the scalar search, so the memo entries are
+    bit-identical to lazy pricing.  Sizes a simulation forms beyond
+    ``batches`` are priced on first use by
+    :meth:`ModelExecutor.batch_time_ms`, one sweep each.  Returns the
+    number of memo entries filled.
+    """
+    plan_memo: Dict[tuple, tuple] = {}
+    return sum(
+        _prewarm_batch(executors, batch, plan_memo)
+        for batch in dict.fromkeys(int(b) for b in batches)
+    )
+
+
+def _prewarm_batch(
+    executors: Sequence[ModelExecutor], batch: int, plan_memo: dict
+) -> int:
+    """One vectorized sweep filling every executor's ``batch`` misses.
+
+    ``plan_memo`` holds the plan costs per (executor, plane) across the
+    sweeps: plan costs are per timing model.
     """
     import numpy as np
 
@@ -207,27 +227,23 @@ def prewarm_executors(
     from repro.sim import vectorized as vec
     from repro.sim.parallel import candidate_grids, partition_plane
 
-    requests = []  # (ex, key, m, n, k, main, tiles, grids)
-    queued = set()
+    requests = []  # (ex_idx, key, m, n, k, (mr, nr), tiles, grids)
     for ex_idx, ex in enumerate(executors):
         layers = {layer.layer_id: layer for _, layer in ex.instances}
-        for batch in batches:
-            for layer_id, layer in layers.items():
-                key = (layer_id, int(batch))
-                if key in ex._layer_memo or (ex_idx, key) in queued:
-                    continue
-                queued.add((ex_idx, key))
-                m, n, k = layer.batched_dims(int(batch))
-                main = ex._main_tile_for(m, n, k)
-                mr, nr = main if main is not None else ex.ctx.main_tile
-                tiles = clamp_tiles(
-                    analytical_tile_params(mr, nr, ex.ctx.machine), m, n, k
-                )
-                grids = candidate_grids(
-                    ex.threads, m, n, ex.ctx.machine, mr, nr,
-                    k=k, kc=tiles.kc,
-                )
-                requests.append((ex_idx, key, m, n, k, main, tiles, grids))
+        for layer_id, layer in layers.items():
+            key = (layer_id, batch)
+            if key in ex._layer_memo:
+                continue
+            m, n, k = layer.batched_dims(batch)
+            main = ex._main_tile_for(m, n, k)
+            mr, nr = main if main is not None else ex.ctx.main_tile
+            tiles = clamp_tiles(
+                analytical_tile_params(mr, nr, ex.ctx.machine), m, n, k
+            )
+            grids = candidate_grids(
+                ex.threads, m, n, ex.ctx.machine, mr, nr, k=k, kc=tiles.kc
+            )
+            requests.append((ex_idx, key, m, n, k, (mr, nr), tiles, grids))
     if not requests:
         return 0
 
@@ -235,11 +251,9 @@ def prewarm_executors(
     cols = {f: [] for f in ("m", "n", "k", "mr", "nr", "kc", "nc",
                             "jc", "ic", "pc", "machine_idx")}
     offsets = [0]
-    for ri, (ex_idx, _key, m, n, k, main, tiles, grids) in enumerate(
+    for ri, (ex_idx, _key, m, n, k, (mr, nr), tiles, grids) in enumerate(
         requests
     ):
-        ex = executors[ex_idx]
-        mr, nr = main if main is not None else ex.ctx.main_tile
         for jc, ic, pc in grids:
             rows_req.append(ri)
             cols["m"].append(m)
@@ -255,18 +269,15 @@ def prewarm_executors(
             cols["machine_idx"].append(ex_idx)
         offsets.append(len(rows_req))
 
-    plan_memo: Dict[tuple, tuple] = {}
-
     def source(row: int, m_p: int, n_p: int):
-        ex_idx, _key, _m, _n, _k, main, _tiles, _grids = requests[
+        ex_idx, _key, _m, _n, _k, (mr, nr), _tiles, _grids = requests[
             rows_req[row]
         ]
-        ex = executors[ex_idx]
-        mr, nr = main if main is not None else ex.ctx.main_tile
         memo_key = (ex_idx, mr, nr, m_p, n_p)
         if memo_key not in plan_memo:
+            ctx = executors[ex_idx].ctx
             plan_memo[memo_key] = vec.plan_costs(
-                plane_chunk_plans(ex.ctx, m_p, n_p, mr, nr), ex.ctx.model
+                plane_chunk_plans(ctx, m_p, n_p, mr, nr), ctx.model
             )
         return plan_memo[memo_key]
 
@@ -279,21 +290,18 @@ def prewarm_executors(
         )
     )
     winners = vec.best_grid_indices(scored, offsets)
-    for ri, (ex_idx, key, m, n, k, main, tiles, grids) in enumerate(
+    for ri, (ex_idx, key, m, n, k, tile, tiles, grids) in enumerate(
         requests
     ):
         ex = executors[ex_idx]
-        mr, nr = main if main is not None else ex.ctx.main_tile
         jc, ic, pc = grids[winners[ri] - offsets[ri]]
         partition = partition_plane(
-            m, n, ex.threads, ex.ctx.machine, mr, nr,
+            m, n, ex.threads, ex.ctx.machine, *tile,
             jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=tiles.kc,
         )
         b = exo_parallel_breakdown(
-            m, n, k, ex.threads, ctx=ex.ctx, main=main, partition=partition
+            m, n, k, ex.threads, ctx=ex.ctx, main=tile, partition=partition
         )
-        ex._layer_memo[key] = (
-            b.seconds, main if main is not None else ex.ctx.main_tile
-        )
+        ex._layer_memo[key] = (b.seconds, tile)
         ex._record_pricing(b.seconds)
     return len(requests)

@@ -216,8 +216,9 @@ def search_configurations(
         )
         for placement in placements
     ]
-    # price every (placement, batch-cap, layer) memo entry up front in
-    # one vectorized sweep; the simulations below then hit warm memos
+    # price every (placement, batch-cap, layer) memo entry up front, one
+    # vectorized sweep per cap; a size a simulation forms between the
+    # caps is priced on first use, one sweep per (placement, size)
     prewarm_executors(executors, batch_candidates)
     outcomes: List[ConfigOutcome] = []
     for placement, executor in zip(placements, executors):

@@ -472,8 +472,8 @@ class ServePlane:
             )
             track_base += spec.replicas + 1
         if executors:
-            # fill every (layer, batch <= cap) memo in one vectorized
-            # sweep so the event loop never prices lazily mid-run
+            # fill every (layer, batch <= cap) memo, one vectorized sweep
+            # per batch size, so the event loop never prices mid-run
             batches = range(1, max(cap for _, cap in executors) + 1)
             prewarm_executors([ex for ex, _ in executors], list(batches))
         self.shed: List[SheddedRequest] = []

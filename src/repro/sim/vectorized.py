@@ -46,6 +46,7 @@ import numpy as np
 from repro.isa.machine import MachineModel
 from repro.obs import profile as obs_profile
 
+from .memo import remember
 from .parallel import partition_extent
 from .timing import ChunkPlan, TimingModel
 
@@ -172,10 +173,10 @@ class CandidateBatch:
             value = getattr(self, name)
             if value is None:
                 value = 1
-            arr = np.broadcast_to(
-                np.asarray(value, dtype=np.int64), (size,)
-            ).copy()
-            setattr(self, name, arr)
+            arr = np.asarray(value, dtype=np.int64)
+            if arr.shape != (size,):
+                arr = np.broadcast_to(arr, (size,))
+            setattr(self, name, arr.copy())
 
     def __len__(self) -> int:
         return self.m.shape[0]
@@ -288,8 +289,12 @@ def _dedup_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
 #: memoize ``plan_costs`` results so steady-state sweeps pass the same
 #: tuple objects every batch — keying by identity skips re-hashing five
 #: floats per plan per batch, and keeping the tuple in the value pins
-#: its id so it can never be recycled for a different plan
+#: its id so it can never be recycled for a different plan while cached
 _PLAN_ARRAY_CACHE: Dict[int, Tuple[Tuple[PlanCost, ...], np.ndarray]] = {}
+
+#: entries :data:`_PLAN_ARRAY_CACHE` keeps; the serve planner, the
+#: largest CLI working set, caches about 2,900 plans
+PLAN_ARRAY_CACHE_SIZE = 8192
 
 
 def _plan_array(plan: Tuple[PlanCost, ...]) -> np.ndarray:
@@ -308,31 +313,46 @@ def _plan_array(plan: Tuple[PlanCost, ...]) -> np.ndarray:
             for c in plan
         ]
     ).T.copy() if plan else np.zeros((5, 0))
-    _PLAN_ARRAY_CACHE[id(plan)] = (plan, arr)
+    remember(
+        _PLAN_ARRAY_CACHE, id(plan), (plan, arr), PLAN_ARRAY_CACHE_SIZE
+    )
     return arr
 
 
 def _plan_tables(
-    keys: Sequence[np.ndarray], fetch: Callable[[int], Tuple[PlanCost, ...]]
+    keys: Sequence[np.ndarray], rows: np.ndarray, source: PlanSource
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pad the distinct planes' plan lists into dense per-slot tables.
 
     ``keys`` is a sequence of int64 columns jointly identifying each
-    row's plane; ``fetch(row)`` produces the plan costs of that row's
-    plane.  Returns ``(plane_id per row, tables)`` where ``tables`` is
-    a (5, slots, planes) array — counts, cycles-per-iter, edge,
-    overhead, extra per slot — and shorter plans are padded with
-    all-zero slots — a zero-count, zero-cost slot contributes exactly
-    ``+0.0`` to the accumulation, which is a bitwise no-op.  (The slot
-    axis comes before the plane axis so per-slot row slices stay
-    contiguous after the per-row gather in :func:`_compute_cycles`.)
+    row's plane, its last two the plane's (m, n); ``source(rows[r], m,
+    n)`` produces the plan costs of row ``r``'s plane.  Returns
+    ``(plane_id per row, tables)`` where ``tables`` is a (5, slots,
+    planes) array — counts, cycles-per-iter, edge, overhead, extra per
+    slot — and shorter plans are padded with all-zero slots — a
+    zero-count, zero-cost slot contributes exactly ``+0.0`` to the
+    accumulation, which is a bitwise no-op.  (The slot axis comes before
+    the plane axis so per-slot row slices stay contiguous after the
+    per-row gather in :func:`_compute_cycles`.)  The plans scatter into
+    the padded table in one indexed assignment.
     """
     first, inverse = _dedup_rows(keys)
-    plans = [_plan_array(fetch(int(r))) for r in first]
-    slots = max((p.shape[1] for p in plans), default=1)
+    plans = [
+        _plan_array(source(r, m, n))
+        for r, m, n in zip(
+            rows[first].tolist(),
+            keys[-2][first].tolist(),
+            keys[-1][first].tolist(),
+        )
+    ]
+    lengths = np.asarray([p.shape[1] for p in plans], dtype=np.int64)
+    slots = int(lengths.max(initial=1))
     tables = np.zeros((5, max(slots, 1), len(plans)))
-    for pid, plan in enumerate(plans):
-        tables[:, : plan.shape[1], pid] = plan
+    if lengths.sum():
+        starts = np.cumsum(lengths) - lengths
+        plane = np.repeat(np.arange(len(plans)), lengths)
+        slot = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+        tables[:, slot, plane] = np.concatenate(plans, axis=1)
     return inverse, tables
 
 
@@ -356,9 +376,13 @@ def _compute_cycles(
     2**53) and every 2-D op writes into a reused scratch buffer — same
     operations in the same order, so bit-identical, but without the
     malloc churn of one fresh temporary per ufunc, which profiles as
-    the bulk of the runtime at tune-sweep batch sizes.
+    the bulk of the runtime at tune-sweep batch sizes.  The per-row
+    gather is ``np.take`` along the plane axis, which keeps the
+    (rows, slots) operands C-contiguous — a fancy index on the last
+    axis returns a row-major view whose per-slot slices are strided,
+    which profiles at nearly twice the cost of every op below.
     """
-    counts, cpi, edge, overhead, extra = tables[:, :, plane_id]
+    counts, cpi, edge, overhead, extra = np.take(tables, plane_id, axis=2)
     kc_full, kc_rem = np.divmod(k, kc)
     has_rem = kc_rem > 0
     inv = np.empty_like(cpi)
@@ -379,7 +403,7 @@ def _compute_cycles(
     np.multiply(counts, cycles, out=cycles)
     compute = np.zeros(len(plane_id))
     for s in range(cycles.shape[0]):
-        compute = compute + cycles[s]
+        np.add(compute, cycles[s], out=compute)
     return compute
 
 
@@ -451,7 +475,8 @@ def _serial_breakdown(batch: CandidateBatch) -> BatchBreakdown:
     )
     plane_id, tables = _plan_tables(
         (batch.machine_idx, batch.mr, batch.nr, batch.m, batch.n),
-        lambda r: batch.plan_source(r, int(batch.m[r]), int(batch.n[r])),
+        np.arange(len(batch)),
+        batch.plan_source,
     )
     compute = _compute_cycles(plane_id, tables, batch.k, batch.kc)
     pack = mem["pack_a_cycles"] + mem["pack_b_cycles"]
@@ -578,9 +603,8 @@ def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
             batch.machine_idx[ci], batch.mr[ci], batch.nr[ci],
             sl.m_t, sl.n_t,
         ),
-        lambda r: batch.plan_source(
-            int(ci[r]), int(sl.m_t[r]), int(sl.n_t[r])
-        ),
+        ci,
+        batch.plan_source,
     )
     compute_t = _compute_cycles(plane_id, tables, sl.k_t, batch.kc[ci])
 

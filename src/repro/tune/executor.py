@@ -42,6 +42,10 @@ _breakdown_calls = 0
 #: the plane and the kernel family, so it is shared across sweeps
 _plan_cost_memo: Dict[Tuple[str, int, int, int, int], tuple] = {}
 
+#: entries :data:`_plan_cost_memo` keeps (a five-target sweep of squares
+#: and DNN layers fills about 300)
+PLAN_COST_MEMO_SIZE = 4096
+
 
 def breakdown_calls() -> int:
     """Modelled-timing evaluations performed through the tune executor.
@@ -122,6 +126,7 @@ def evaluate_candidates(
     from repro.blis.params import analytical_tile_params, clamp_tiles
     from repro.eval.harness import plane_chunk_plans
     from repro.sim import vectorized as vec
+    from repro.sim.memo import remember
 
     ctx = _context_for(isa)
     machine = ctx.machine
@@ -137,11 +142,17 @@ def evaluate_candidates(
     def source(row: int, m_p: int, n_p: int):
         mr, nr = rows[row][0], rows[row][1]
         key = (isa, mr, nr, m_p, n_p)
-        if key not in _plan_cost_memo:
-            _plan_cost_memo[key] = vec.plan_costs(
-                plane_chunk_plans(ctx, m_p, n_p, mr, nr), ctx.model
+        costs = _plan_cost_memo.get(key)
+        if costs is None:
+            costs = remember(
+                _plan_cost_memo,
+                key,
+                vec.plan_costs(
+                    plane_chunk_plans(ctx, m_p, n_p, mr, nr), ctx.model
+                ),
+                PLAN_COST_MEMO_SIZE,
             )
-        return _plan_cost_memo[key]
+        return costs
 
     batch = vec.CandidateBatch(
         machines=(machine,),

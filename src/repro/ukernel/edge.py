@@ -13,8 +13,29 @@ and the timing model consume.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Dict, List, Sequence, Tuple
+
+
+def _greedy_counts(extent: int, ordered: Sequence[int]) -> Dict[int, int]:
+    """Chunk size -> count of the greedy cover of ``extent``.
+
+    ``ordered`` holds the distinct sizes, largest first; sizes with no
+    chunk are omitted, and a ragged remainder adds one padded chunk of
+    the smallest size — so expanding the counts in key order gives the
+    chunk list of :func:`decompose_extent`.
+    """
+    if extent <= 0:
+        raise ValueError(f"extent must be positive, got {extent}")
+    counts: Dict[int, int] = {}
+    left = extent
+    for size in ordered:
+        count, left = divmod(left, size)
+        if count:
+            counts[size] = count
+    if left:
+        smallest = ordered[-1]
+        counts[smallest] = counts.get(smallest, 0) + 1
+    return counts
 
 
 def decompose_extent(extent: int, sizes: Sequence[int]) -> List[int]:
@@ -23,17 +44,8 @@ def decompose_extent(extent: int, sizes: Sequence[int]) -> List[int]:
     A ragged remainder smaller than every size gets one padded chunk of the
     smallest size, mirroring the zero-padded packing buffers of BLIS.
     """
-    if extent <= 0:
-        raise ValueError(f"extent must be positive, got {extent}")
-    ordered = sorted(set(sizes), reverse=True)
-    chunks: List[int] = []
-    left = extent
-    for size in ordered:
-        count, left = divmod(left, size)
-        chunks.extend([size] * count)
-    if left:
-        chunks.append(ordered[-1])
-    return chunks
+    counts = _greedy_counts(extent, sorted(set(sizes), reverse=True))
+    return [size for size, count in counts.items() for _ in range(count)]
 
 
 def tile_cover(
@@ -45,22 +57,38 @@ def tile_cover(
 
     Row heights and column widths decompose independently; a tile class
     (mr, nr) must exist in the family for every (height, width) pair that
-    the decomposition produces — the family is validated up front.
+    the decomposition produces — the family is validated up front.  The
+    counts come from one ``divmod`` per size, never from the chunk lists,
+    so the cost does not grow with the plane.
     """
-    heights = sorted({s[0] for s in family}, reverse=True)
-    widths = sorted({s[1] for s in family}, reverse=True)
-    m_chunks = Counter(decompose_extent(m, heights))
-    n_chunks = Counter(decompose_extent(n, widths))
+    members = set(family)
+    heights = sorted({s[0] for s in members}, reverse=True)
+    widths = sorted({s[1] for s in members}, reverse=True)
+    m_chunks = _greedy_counts(m, heights)
+    n_chunks = _greedy_counts(n, widths)
     cover: Dict[Tuple[int, int], int] = {}
     for mr, mcount in m_chunks.items():
         for nr, ncount in n_chunks.items():
-            if (mr, nr) not in set(family):
+            if (mr, nr) not in members:
                 raise KeyError(
                     f"decomposition needs a {mr}x{nr} kernel but the family "
-                    f"only provides {sorted(set(family))}"
+                    f"only provides {sorted(members)}"
                 )
             cover[(mr, nr)] = mcount * ncount
     return cover
+
+
+def _vla_counts(extent: int, lanes: int) -> Dict[int, int]:
+    """Chunk size -> count of the exact VLA cover of ``extent``."""
+    if extent <= 0:
+        raise ValueError(f"extent must be positive, got {extent}")
+    if lanes <= 0:
+        raise ValueError(f"lanes must be positive, got {lanes}")
+    full, tail = divmod(extent, lanes)
+    counts = {lanes: full} if full else {}
+    if tail:
+        counts[tail] = 1
+    return counts
 
 
 def decompose_extent_vla(extent: int, lanes: int) -> List[int]:
@@ -72,14 +100,8 @@ def decompose_extent_vla(extent: int, lanes: int) -> List[int]:
     predicated tail path.  The cover is therefore exact: full-lane chunks
     plus at most one chunk of ``extent % lanes``.
     """
-    if extent <= 0:
-        raise ValueError(f"extent must be positive, got {extent}")
-    if lanes <= 0:
-        raise ValueError(f"lanes must be positive, got {lanes}")
-    chunks = [lanes] * (extent // lanes)
-    if extent % lanes:
-        chunks.append(extent % lanes)
-    return chunks
+    counts = _vla_counts(extent, lanes)
+    return [size for size, count in counts.items() for _ in range(count)]
 
 
 def vla_tile_cover(
@@ -100,13 +122,13 @@ def vla_tile_cover(
     :func:`repro.ukernel.generator.generate_vla_microkernel` when the
     height is not a lane multiple).
     """
-    m_chunks = Counter(decompose_extent_vla(m, mr))
-    n_chunks = Counter(decompose_extent_vla(n, nr))
-    cover: Dict[Tuple[int, int], int] = {}
-    for h, mcount in m_chunks.items():
-        for w, ncount in n_chunks.items():
-            cover[(h, w)] = mcount * ncount
-    return cover
+    m_chunks = _vla_counts(m, mr)
+    n_chunks = _vla_counts(n, nr)
+    return {
+        (h, w): mcount * ncount
+        for h, mcount in m_chunks.items()
+        for w, ncount in n_chunks.items()
+    }
 
 
 def monolithic_cover(m: int, n: int, mr: int, nr: int) -> int:
