@@ -41,7 +41,6 @@ from repro.core.loopir import (
     Assign,
     BinOp,
     Call,
-    Const,
     Expr,
     For,
     Interval,
@@ -55,8 +54,8 @@ from repro.core.loopir import (
     WindowExpr,
 )
 from repro.core.prelude import CodegenError, Sym
-from repro.core.traversal import subst_stmts
-from repro.core.typesys import INDEX, SizeType, TensorType
+from repro.core.traversal import unroll_calls, walk_expr
+from repro.core.typesys import SizeType, TensorType
 
 __all__ = [
     "Finding",
@@ -216,23 +215,16 @@ def _classify_formals(proc: Proc) -> Dict[Sym, str]:
             # any write + any read -> reduce (read-modify-write)
             kinds[sym] = "reduce" if "read" in (prev, kind) else kind
 
-    def reads(e: Expr) -> None:
+    def read(e: Expr) -> None:
         if isinstance(e, Read):
             note(e.name, "read")
-            for i in e.idx:
-                reads(i)
-        elif isinstance(e, BinOp):
-            reads(e.lhs)
-            reads(e.rhs)
-        elif isinstance(e, USub):
-            reads(e.arg)
 
     def walk(block: Sequence[Stmt]) -> None:
         for s in block:
             if isinstance(s, (Assign, Reduce)):
                 for i in s.idx:
-                    reads(i)
-                reads(s.rhs)
+                    walk_expr(i, read)
+                walk_expr(s.rhs, read)
                 note(s.name, "reduce" if isinstance(s, Reduce) else "write")
             elif isinstance(s, For):
                 walk(s.body)
@@ -520,10 +512,11 @@ def _safe_key(w: WindowExpr) -> Optional[tuple]:
 def _collect_events(ir: Proc, report: Report) -> List[_Event]:
     """Flatten the proc into phase-tagged instruction events.
 
-    Static loops are fully unrolled (iterator substituted), so window
-    keys are exact register identities; the symbolic k-loop body is
-    walked once with ``k`` left free, which is sound because register
-    windows in a finished schedule never index by ``k``.
+    Static loops are fully unrolled (each call substituted once with the
+    iterator values of its loop nest), so window keys are exact register
+    identities; the symbolic k-loop body is walked once with ``k`` left
+    free, which is sound because register windows in a finished
+    schedule never index by ``k``.
     """
     kloop = _find_k_loop(ir)
     events: List[_Event] = []
@@ -570,27 +563,16 @@ def _collect_events(ir: Proc, report: Report) -> List[_Event]:
         )
 
     def expand(block: Sequence[Stmt], phase: str) -> None:
-        for s in block:
+        for s in unroll_calls(block):
             if isinstance(s, Call):
                 emit(s, phase)
             elif isinstance(s, For):
-                lo = try_constant(s.lo)
-                hi = try_constant(s.hi)
-                if lo is None or hi is None:
-                    report.add(
-                        "E_COUNT_DRIFT",
-                        f"non-static loop over {s.iter} inside the "
-                        f"{phase} phase",
-                    )
-                    continue
-                for i in range(lo, hi):
-                    expand(
-                        subst_stmts(s.body, {s.iter: Const(i, INDEX)}),
-                        phase,
-                    )
-            elif isinstance(s, (Alloc, Pass)):
-                pass
-            else:
+                report.add(
+                    "E_COUNT_DRIFT",
+                    f"non-static loop over {s.iter} inside the "
+                    f"{phase} phase",
+                )
+            elif not isinstance(s, (Alloc, Pass)):
                 report.add(
                     "E_COUNT_DRIFT",
                     f"unexpected {type(s).__name__} in the {phase} "

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .loopir import BinOp, Const, Expr, Read, USub, update
+from .loopir import BinOp, Const, Expr, Read, USub
 from .prelude import NULL_SRC, Sym
 from .typesys import INDEX
 
@@ -133,25 +133,6 @@ def delinearize(lin: LinExpr, srcinfo=NULL_SRC) -> Expr:
     if lin.offset or result is None:
         accumulate(Const(lin.offset, INDEX, srcinfo))
     return result
-
-
-def simplify_expr(e: Expr) -> Expr:
-    """Simplify an index expression to canonical affine form when possible.
-
-    Non-affine expressions are rebuilt with affine subexpressions simplified.
-    Non-index expressions (data arithmetic) are returned untouched except for
-    recursion into their operands.
-    """
-    lin = linearize(e)
-    if lin is not None:
-        return delinearize(lin, getattr(e, "srcinfo", NULL_SRC))
-    if isinstance(e, BinOp):
-        return update(e, lhs=simplify_expr(e.lhs), rhs=simplify_expr(e.rhs))
-    if isinstance(e, USub):
-        return update(e, arg=simplify_expr(e.arg))
-    if isinstance(e, Read):
-        return update(e, idx=tuple(simplify_expr(i) for i in e.idx))
-    return e
 
 
 def exprs_equal(a: Expr, b: Expr) -> bool:

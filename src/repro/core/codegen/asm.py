@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..affine import try_constant
-from ..loopir import Call, Const, Expr, For, Point, Proc, Read, WindowExpr
+from ..loopir import Call, Expr, For, Point, Proc, Read, WindowExpr
 from ..prelude import CodegenError
+from ..traversal import unroll_calls
 
 
 @dataclass
@@ -112,21 +113,13 @@ def _find_k_loop(ir: Proc) -> For:
 def _flatten_calls(block, unroll_bound: int = 64) -> List[Call]:
     """All instruction calls in the block, unrolling static inner loops."""
     calls: List[Call] = []
-    for s in block:
+    for s in unroll_calls(block, max_trips=unroll_bound):
         if isinstance(s, Call):
             calls.append(s)
         elif isinstance(s, For):
-            lo, hi = try_constant(s.lo), try_constant(s.hi)
-            if lo is None or hi is None or hi - lo > unroll_bound:
-                raise CodegenError(
-                    "assembly generation requires static inner loops"
-                )
-            from ..traversal import subst_stmts
-            from ..typesys import INDEX
-
-            for i in range(lo, hi):
-                body = subst_stmts(s.body, {s.iter: Const(i, INDEX)})
-                calls.extend(_flatten_calls(body, unroll_bound))
+            raise CodegenError(
+                "assembly generation requires static inner loops"
+            )
         else:
             raise CodegenError(
                 f"unexpected {type(s).__name__} inside the k-loop; "

@@ -4,13 +4,16 @@ A ``Procedure`` wraps an immutable LoopIR :class:`~repro.core.loopir.Proc`.
 Scheduling primitives (in :mod:`repro.core.scheduling`) take and return
 ``Procedure`` objects; nothing ever mutates in place, so intermediate stages
 of a schedule (the paper's v1..v6 kernels) remain usable side by side.
+
+A ``Procedure`` also carries its *fold base*, the IR of its last folded
+ancestor.  Every statement the two share is a fixed point of the
+(idempotent) constant fold, so the next fold folds only the rest.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
-from . import loopir
 from .affine import try_constant_bool
 from .loopir import Const, FnArg, Proc, update
 from .parser import parse_function
@@ -36,16 +39,27 @@ class Procedure:
     * ``p.interpret(...)`` — run the reference semantics on numpy buffers.
     """
 
-    def __init__(self, ir: Proc):
+    def __init__(self, ir: Proc, fold_base: Optional[Proc] = None):
         if not isinstance(ir, Proc):
             raise TypeError(f"expected LoopIR Proc, got {type(ir).__name__}")
         self._loopir = ir
+        self._fold_base = fold_base
 
     # -- introspection -------------------------------------------------------
 
     @property
     def ir(self) -> Proc:
         return self._loopir
+
+    @property
+    def fold_base(self) -> Optional[Proc]:
+        """The IR of this proc's last folded ancestor, or None.
+
+        A primitive that folds (:func:`~repro.core.scheduling.subst.folded`)
+        sets it to its own output; every other primitive passes its
+        input's along.  A proc with none (freshly parsed) folds whole.
+        """
+        return self._fold_base
 
     def name(self) -> str:
         return self._loopir.name
@@ -127,9 +141,9 @@ class Procedure:
             preds=tuple(new_preds),
             body=new_body,
         )
-        from .scheduling.subst import fold_constants  # local: avoid cycle
+        from .scheduling.subst import folded  # local: avoid cycle
 
-        return Procedure(fold_constants(new_ir))
+        return folded(self, new_ir)
 
     # -- execution and code generation ------------------------------------------
 
@@ -147,10 +161,6 @@ class Procedure:
         from .codegen.asm import proc_to_asm
 
         return proc_to_asm(self._loopir, sizes)
-
-
-def make_procedure(ir: Proc) -> Procedure:
-    return Procedure(ir)
 
 
 def proc(fn) -> Procedure:

@@ -39,9 +39,9 @@ from ..memory import Memory
 from ..patterns import find_alloc, find_stmt, get_stmt, replace_at
 from ..prelude import SchedulingError, Sym
 from ..proc import Procedure
-from ..traversal import map_expr, map_stmts, stmt_uses_sym
+from ..traversal import map_expr, map_stmts, stmt_uses_sym, walk_expr
 from ..typesys import INDEX, TensorType, parse_scalar_type
-from .subst import fold_constants
+from .subst import folded
 
 # ---------------------------------------------------------------------------
 # Parsing index-expression strings ('jt * 4 + jtt') against in-scope symbols
@@ -222,7 +222,7 @@ def stage_mem(
         stmts.append(
             Assign(buf, tuple(idx), Read(reg, (), buf_type.base, src), src)
         )
-    return Procedure(replace_at(p.ir, cursor.path, stmts))
+    return Procedure(replace_at(p.ir, cursor.path, stmts), p.fold_base)
 
 
 def bind_expr(p: Procedure, expr_pattern: str, new_name: str) -> Procedure:
@@ -263,7 +263,7 @@ def bind_expr(p: Procedure, expr_pattern: str, new_name: str) -> Procedure:
         Assign(reg, (), read, src),
         new_target,
     ]
-    return Procedure(replace_at(p.ir, path, stmts))
+    return Procedure(replace_at(p.ir, path, stmts), p.fold_base)
 
 
 def _find_first_read(ir, buf_name: str):
@@ -280,9 +280,8 @@ def _find_first_read(ir, buf_name: str):
             def collect(e):
                 if isinstance(e, Read) and e.name.name == buf_name and e.idx:
                     reads.append(e)
-                return e
 
-            map_expr(s.rhs, collect)
+            walk_expr(s.rhs, collect)
             if reads:
                 found.append((path, reads[0]))
         elif isinstance(s, For):
@@ -342,6 +341,9 @@ def expand_dim(
                     update(s, body=rewrite_block(s.body, path, inner))
                 )
                 continue
+            if not stmt_uses_sym(s, alloc.name):
+                out.append(s)  # shared, so the next fold skips it
+                continue
             scope = _scope_at(ir, path)
 
             def fix_expr(e: Expr) -> Expr:
@@ -369,10 +371,11 @@ def expand_dim(
                 out.append(new_s)
             else:
                 out.append(s)
-        return tuple(out)
+        out = tuple(out)
+        return block if all(a is b for a, b in zip(out, block)) else out
 
     new_ir = update(ir, body=rewrite_block(ir.body, (), {}))
-    return Procedure(fold_constants(new_ir))
+    return folded(p, new_ir)
 
 
 def _check_in_range(e: Expr, size: Optional[int], bounds: Bounds, text: str):
@@ -428,7 +431,7 @@ def lift_alloc(p: Procedure, name: str, n_lifts: int = 1) -> Procedure:
         ir = replace_at(ir, path, [])
         parent_path = path[:-1]
         ir = _insert_before(ir, parent_path, alloc)
-    return Procedure(ir)
+    return Procedure(ir, p.fold_base)
 
 
 def _loop_iter_at(ir, path):
@@ -453,7 +456,9 @@ def set_memory(p: Procedure, name: str, mem: Memory) -> Procedure:
     cursor = find_alloc(p.ir, name)
     alloc = cursor.stmt()
     assert isinstance(alloc, Alloc)
-    return Procedure(replace_at(p.ir, cursor.path, [update(alloc, mem=mem)]))
+    return Procedure(
+        replace_at(p.ir, cursor.path, [update(alloc, mem=mem)]), p.fold_base
+    )
 
 
 def set_precision(p: Procedure, name: str, precision: str) -> Procedure:
@@ -494,7 +499,7 @@ def set_precision(p: Procedure, name: str, precision: str) -> Procedure:
         return e
 
     body = map_stmts(ir.body, expr_fn=lambda e: map_expr(e, retype))
-    return Procedure(update(ir, body=body))
+    return Procedure(update(ir, body=body), p.fold_base)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from ..prelude import SchedulingError
 from ..proc import Procedure
 from ..traversal import alpha_rename, map_expr, map_stmts, subst_stmts
 from ..typesys import INDEX, TensorType
-from .subst import fold_constants
+from .subst import folded
 
 # ---------------------------------------------------------------------------
 # inline_call
@@ -86,9 +86,7 @@ def inline_call(p: Procedure, pattern: str) -> Procedure:
     new_body = map_stmts(
         body, stmt_fn=fix_stmt, expr_fn=lambda e: map_expr(e, fix_expr)
     )
-    return Procedure(
-        fold_constants(replace_at(p.ir, cursor.path, list(new_body)))
-    )
+    return folded(p, replace_at(p.ir, cursor.path, list(new_body)))
 
 
 def _window_translator(formal, actual):
@@ -165,10 +163,11 @@ def fuse_loops(p: Procedure, pattern: str) -> Procedure:
     new_block = list(block)
     new_block[idx : idx + 2] = [fused]
     if not parent_path:
-        return Procedure(update(p.ir, body=tuple(new_block)))
+        return Procedure(update(p.ir, body=tuple(new_block)), p.fold_base)
     parent = get_stmt(p.ir, parent_path)
     return Procedure(
-        replace_at(p.ir, parent_path, [update(parent, body=tuple(new_block))])
+        replace_at(p.ir, parent_path, [update(parent, body=tuple(new_block))]),
+        p.fold_base,
     )
 
 
@@ -204,4 +203,4 @@ def cut_loop(p: Procedure, pattern: str, cut: int) -> Procedure:
         alpha_rename(tail_body),
         src,
     )
-    return Procedure(replace_at(p.ir, cursor.path, [head, tail]))
+    return Procedure(replace_at(p.ir, cursor.path, [head, tail]), p.fold_base)

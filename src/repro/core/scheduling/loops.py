@@ -15,12 +15,12 @@ from typing import List, Tuple
 from ..affine import try_constant
 from ..effects import fission_safe, reorder_safe
 from ..loopir import Alloc, Assign, BinOp, Const, For, Proc, Read, Reduce, Stmt
-from ..patterns import GapCursor, StmtCursor, find_loop, get_stmt, replace_at
+from ..patterns import GapCursor, find_loop, get_stmt, replace_at
 from ..prelude import SchedulingError, Sym
 from ..proc import Procedure
 from ..traversal import alpha_rename, free_symbols, stmt_uses_sym, subst_stmts
 from ..typesys import INDEX
-from .subst import fold_constants
+from .subst import folded
 
 # ---------------------------------------------------------------------------
 # divide_loop
@@ -99,7 +99,7 @@ def divide_loop(
             ),
             src,
         )
-        return Procedure(fold_constants(replace_at(p.ir, cursor.path, [main])))
+        return folded(p, replace_at(p.ir, cursor.path, [main]))
 
     # cut tail: main loop over floor(N / q) blocks, then a remainder loop
     if hi_const is None:
@@ -146,7 +146,7 @@ def divide_loop(
                 src,
             )
         )
-    return Procedure(fold_constants(replace_at(p.ir, cursor.path, stmts)))
+    return folded(p, replace_at(p.ir, cursor.path, stmts))
 
 
 def _divisibility_asserted(ir: Proc, bound, quotient: int) -> bool:
@@ -179,7 +179,7 @@ def reorder_loops(p: Procedure, loops: str) -> Procedure:
     swap must pass the effect-based safety check (reductions commute; plain
     writes must address buffers with a consistent affine signature).
     """
-    from ..patterns import StmtCursor, find_all_stmts, parse_pattern
+    from ..patterns import find_all_stmts, parse_pattern
 
     names = loops.split()
     if len(names) != 2:
@@ -218,7 +218,7 @@ def reorder_loops(p: Procedure, loops: str) -> Procedure:
             (For(outer.iter, outer.lo, outer.hi, inner.body, outer.srcinfo),),
             inner.srcinfo,
         )
-        return Procedure(replace_at(p.ir, path, [swapped]))
+        return Procedure(replace_at(p.ir, path, [swapped]), p.fold_base)
     raise SchedulingError(
         f"no candidate loop nest {loops!r} can be reordered:\n  "
         + "\n  ".join(failures)
@@ -245,7 +245,7 @@ def unroll_loop(p: Procedure, loop: str) -> Procedure:
             target.body, {target.iter: Const(i, INDEX, target.srcinfo)}
         )
         stmts.extend(alpha_rename(iteration))
-    return Procedure(fold_constants(replace_at(p.ir, cursor.path, stmts)))
+    return folded(p, replace_at(p.ir, cursor.path, stmts))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +255,7 @@ def unroll_loop(p: Procedure, loop: str) -> Procedure:
 
 def fission(p: Procedure, gap: GapCursor, n_lifts: int = 1) -> Procedure:
     """Split enclosing loops at ``gap``, always duplicating loop structure."""
-    return Procedure(
-        fold_constants(_fission_ir(p.ir, gap, n_lifts, smart=False))
-    )
+    return folded(p, _fission_ir(p.ir, gap, n_lifts, smart=False))
 
 
 def autofission(p: Procedure, gap: GapCursor, n_lifts: int = 1) -> Procedure:
@@ -279,9 +277,7 @@ def autofission(p: Procedure, gap: GapCursor, n_lifts: int = 1) -> Procedure:
     the k-loop" pattern of Figure 8.  When neither applies the loop is
     duplicated as in plain fission (subject to the fission safety check).
     """
-    return Procedure(
-        fold_constants(_fission_ir(p.ir, gap, n_lifts, smart=True))
-    )
+    return folded(p, _fission_ir(p.ir, gap, n_lifts, smart=True))
 
 
 def _fission_ir(ir: Proc, gap: GapCursor, n_lifts: int, smart: bool) -> Proc:

@@ -45,7 +45,6 @@ from ..loopir import (
     StrideExpr,
     USub,
     WindowExpr,
-    update,
 )
 from ..memory import DRAM, GENERIC, Memory
 from ..patterns import get_stmt, replace_at
@@ -53,7 +52,7 @@ from ..prelude import SchedulingError, Sym
 from ..proc import Procedure
 from ..typesys import INDEX, SIZE, TensorType, types_compatible
 from .buffers import _bounds_at, _mem_of, _type_of
-from .subst import fold_constants
+from .subst import folded
 
 
 @dataclass
@@ -608,7 +607,7 @@ def _try_replace_at(p: Procedure, path, instruction: Procedure) -> Procedure:
             call_args.append(uni.value_map[arg.name])
 
     call = Call(instruction.ir, tuple(call_args), target.srcinfo)
-    return Procedure(fold_constants(replace_at(p.ir, path, [call])))
+    return folded(p, replace_at(p.ir, path, [call]))
 
 
 def replace(p: Procedure, pattern: str, instruction: Procedure) -> Procedure:

@@ -1,6 +1,13 @@
-"""Renaming, constant folding, and ``simplify``."""
+"""Renaming, constant folding, and ``simplify``.
+
+Primitives fold through :func:`folded`, which folds only the statements
+created since the proc's last fold: a primitive costs what the fragment
+it rewrites costs, not what the whole proc costs.
+"""
 
 from __future__ import annotations
+
+from typing import Optional
 
 from ..affine import delinearize, linearize, try_constant
 from ..loopir import BinOp, Const, Expr, For, Pass, Proc, Read, update
@@ -14,7 +21,7 @@ def rename(p: Procedure, new_name: str) -> Procedure:
     """Return a copy of ``p`` with a new procedure name."""
     if not new_name.isidentifier():
         raise SchedulingError(f"invalid procedure name {new_name!r}")
-    return Procedure(update(p.ir, name=new_name))
+    return Procedure(update(p.ir, name=new_name), p.fold_base)
 
 
 def _fold_node(e: Expr) -> Expr:
@@ -49,13 +56,29 @@ def _fold_expr(e: Expr) -> Expr:
     return map_expr(e, _fold_node)
 
 
-def fold_constants(ir: Proc) -> Proc:
+def _stmt_ids(stmts, out: set) -> set:
+    for s in stmts:
+        out.add(id(s))
+        if isinstance(s, For):
+            _stmt_ids(s.body, out)
+    return out
+
+
+def fold_constants(ir: Proc, base: Optional[Proc] = None) -> Proc:
     """Fold and canonicalize every expression; drop degenerate loops.
 
     A loop whose trip count folds to zero disappears; a trip count of one
     keeps the loop (explicit structure is what scheduling patterns address —
     collapsing is a separate, opt-in step).
+
+    ``base``, when given, is the fold output ``ir`` was rewritten from.
+    The fold is idempotent, so a statement of ``ir`` that is the very
+    object of a ``base`` statement is a fixed point: it is kept, and only
+    the statements created since are folded.  The result equals the
+    whole-proc fold that ``base=None`` runs.  The ids of ``base``'s
+    statements live only for this call, while ``base`` holds them alive.
     """
+    done = _stmt_ids(base.body, set()) if base is not None else ()
 
     def stmt_fn(s):
         if isinstance(s, For):
@@ -65,18 +88,37 @@ def fold_constants(ir: Proc) -> Proc:
                 return Pass(s.srcinfo)
         return s
 
-    body = map_stmts(ir.body, stmt_fn=stmt_fn, expr_fn=_fold_expr)
+    body = map_stmts(
+        ir.body,
+        stmt_fn=stmt_fn,
+        expr_fn=_fold_expr,
+        keep=(lambda s: id(s) in done) if done else None,
+    )
     body = tuple(s for s in body if not isinstance(s, Pass)) or body
-    args = []
-    for a in ir.args:
-        typ = a.type
-        if isinstance(typ, TensorType):
-            typ = typ.with_shape(tuple(_fold_expr(d) for d in typ.shape))
-        args.append(update(a, type=typ))
-    preds = tuple(_fold_expr(pr) for pr in ir.preds)
-    return update(ir, args=tuple(args), preds=preds, body=body)
+    args, preds = ir.args, ir.preds
+    if base is None or args is not base.args:
+        args = []
+        for a in ir.args:
+            typ = a.type
+            if isinstance(typ, TensorType):
+                typ = typ.with_shape(tuple(_fold_expr(d) for d in typ.shape))
+            args.append(update(a, type=typ))
+        args = tuple(args)
+    if base is None or preds is not base.preds:
+        preds = tuple(_fold_expr(pr) for pr in ir.preds)
+    return update(ir, args=args, preds=preds, body=body)
+
+
+def folded(p: Procedure, ir: Proc) -> Procedure:
+    """Fold ``ir``, a rewrite of ``p``, into a new fold base.
+
+    Only what differs from ``p``'s fold base is folded; the result is its
+    own fold base, so the next fold starts from it.
+    """
+    ir = fold_constants(ir, p.fold_base)
+    return Procedure(ir, fold_base=ir)
 
 
 def simplify(p: Procedure) -> Procedure:
     """Public entry: canonicalize all index arithmetic in ``p``."""
-    return Procedure(fold_constants(p.ir))
+    return folded(p, p.ir)

@@ -1,16 +1,21 @@
 """Generic traversal, substitution, and alpha-renaming over LoopIR.
 
-Three workhorses used by every scheduling primitive:
+The workhorses used by every scheduling primitive:
 
 * :func:`map_expr` / :func:`map_stmts` — bottom-up rewriting with a callback.
   ``map_expr`` calls its callback on every subexpression, children first.
   ``map_stmts`` calls ``expr_fn`` once on each *statement-level* expression,
   whole: every index, right-hand side, loop bound, call argument and
   allocation dimension.  A caller that needs a per-node callback passes
-  ``lambda e: map_expr(e, fn)``.
+  ``lambda e: map_expr(e, fn)``.  Both return every unchanged subtree as
+  the very object they were given.  The constant fold relies on that: it
+  skips every statement still shared with the proc's last fold output,
+  its *fold base* (:func:`repro.core.scheduling.subst.fold_constants`).
+* :func:`walk_expr` — the read-only visit for queries: nothing is rebuilt.
 * :func:`subst_expr` — capture-avoiding substitution of symbols by
   expressions (both in expression position and, where an entire buffer is
   renamed, in statement l-values).
+* :func:`unroll_calls` — a block's calls with its static loops unrolled.
 * :func:`alpha_rename` — deep copy of a statement block with fresh symbols
   for every binder (loop iterators and allocations), so a block can be
   duplicated (e.g. by ``unroll_loop`` or ``divide_loop`` tails) without
@@ -19,8 +24,9 @@ Three workhorses used by every scheduling primitive:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
+from .affine import try_constant
 from .loopir import (
     Alloc,
     Assign,
@@ -41,6 +47,7 @@ from .loopir import (
     update,
 )
 from .prelude import Sym
+from .typesys import INDEX
 
 # ---------------------------------------------------------------------------
 # Expression rewriting
@@ -67,6 +74,8 @@ def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     if isinstance(e, (Const, StrideExpr)):
         return fn(e)
     if isinstance(e, Read):
+        if not e.idx:
+            return fn(e)  # a scalar read is a leaf
         return fn(update(e, idx=_map_tuple(lambda i: map_expr(i, fn), e.idx)))
     if isinstance(e, BinOp):
         return fn(update(e, lhs=map_expr(e.lhs, fn), rhs=map_expr(e.rhs, fn)))
@@ -81,17 +90,43 @@ def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     raise TypeError(f"unknown expression node: {type(e).__name__}")
 
 
+def walk_expr(e: Expr, fn: Callable[[Expr], None]) -> None:
+    """Call ``fn`` on every subexpression of ``e``, children first.
+
+    The read-only twin of :func:`map_expr`: same order, nothing rebuilt.
+    """
+    if isinstance(e, (Read, WindowExpr)):
+        for i in e.idx:
+            walk_expr(i, fn)
+    elif isinstance(e, BinOp):
+        walk_expr(e.lhs, fn)
+        walk_expr(e.rhs, fn)
+    elif isinstance(e, USub):
+        walk_expr(e.arg, fn)
+    elif isinstance(e, Interval):
+        walk_expr(e.lo, fn)
+        walk_expr(e.hi, fn)
+    elif isinstance(e, Point):
+        walk_expr(e.pt, fn)
+    elif not isinstance(e, (Const, StrideExpr)):
+        raise TypeError(f"unknown expression node: {type(e).__name__}")
+    fn(e)
+
+
 def map_stmts(
     stmts: Iterable[Stmt],
     stmt_fn: Callable[[Stmt], Stmt] = None,
     expr_fn: Callable[[Expr], Expr] = None,
+    keep: Callable[[Stmt], bool] = None,
 ) -> Tuple[Stmt, ...]:
     """Rebuild a statement block bottom-up.
 
     ``expr_fn`` is applied once to each statement-level expression (an
     index, a right-hand side, a loop bound, a call argument or an
     allocation dimension), which it receives whole; ``stmt_fn`` is applied
-    to every rebuilt statement.  Either may be None.  Statements whose
+    to every rebuilt statement.  A statement for which ``keep`` returns
+    True is passed through as it is, without visiting it or anything
+    inside it.  Any of the three may be None.  Statements whose
     expressions and bodies come back unchanged are returned as they are.
     """
     sf = stmt_fn or (lambda s: s)
@@ -99,6 +134,9 @@ def map_stmts(
 
     out = []
     for s in stmts:
+        if keep is not None and keep(s):
+            out.append(s)
+            continue
         if isinstance(s, (Assign, Reduce)):
             s2 = update(s, idx=_map_tuple(ef, s.idx), rhs=ef(s.rhs))
         elif isinstance(s, For):
@@ -106,7 +144,7 @@ def map_stmts(
                 s,
                 lo=ef(s.lo),
                 hi=ef(s.hi),
-                body=map_stmts(s.body, stmt_fn, expr_fn),
+                body=map_stmts(s.body, stmt_fn, expr_fn, keep),
             )
         elif isinstance(s, Call):
             s2 = update(s, args=_map_tuple(ef, s.args))
@@ -170,6 +208,35 @@ def subst_stmts(stmts: Iterable[Stmt], env: Dict[Sym, Expr]) -> Tuple[Stmt, ...]
         return s
 
     return map_stmts(stmts, stmt_fn=stmt_fn, expr_fn=lambda e: subst_expr(e, env))
+
+
+def unroll_calls(
+    block: Iterable[Stmt], max_trips: int = None, env: Dict[Sym, Expr] = None
+) -> Iterator[Stmt]:
+    """Yield a block's statements in order, unrolling its static loops.
+
+    The iterator values travel down the loop nest in ``env``, so each
+    ``Call`` instance and each nested loop bound is substituted once.  A
+    loop that is not static, or runs more than ``max_trips`` times, is
+    yielded whole like any other statement, for the caller to skip or
+    reject.
+    """
+    env = env or {}
+    for s in block:
+        if isinstance(s, Call):
+            yield subst_stmts((s,), env)[0] if env else s
+        elif isinstance(s, For):
+            lo = try_constant(subst_expr(s.lo, env))
+            hi = try_constant(subst_expr(s.hi, env))
+            static = lo is not None and hi is not None
+            if not static or (max_trips is not None and hi - lo > max_trips):
+                yield s
+                continue
+            for i in range(lo, hi):
+                inner = {**env, s.iter: Const(i, INDEX)}
+                yield from unroll_calls(s.body, max_trips, inner)
+        else:
+            yield s
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +310,11 @@ def collect_reads(e: Expr) -> list:
     """All (Sym, idx-tuple) scalar reads inside an expression."""
     found = []
 
-    def go(sub: Expr) -> Expr:
+    def see(sub: Expr) -> None:
         if isinstance(sub, Read):
             found.append((sub.name, sub.idx))
-        return sub
 
-    map_expr(e, go)
+    walk_expr(e, see)
     return found
 
 
@@ -261,28 +327,27 @@ def free_symbols(stmts: Iterable[Stmt]) -> set:
         if sym not in bound:
             free.add(sym)
 
-    def expr_fn(e: Expr) -> Expr:
+    def see_expr(e: Expr) -> None:
         if isinstance(e, (Read, WindowExpr, StrideExpr)):
             see(e.name)
-        return e
 
     def walk(block):
         for s in block:
             if isinstance(s, Alloc):
                 bound.add(s.name)
             elif isinstance(s, For):
-                map_expr(s.lo, expr_fn)
-                map_expr(s.hi, expr_fn)
+                walk_expr(s.lo, see_expr)
+                walk_expr(s.hi, see_expr)
                 bound.add(s.iter)
                 walk(s.body)
             elif isinstance(s, (Assign, Reduce)):
                 see(s.name)
                 for i in s.idx:
-                    map_expr(i, expr_fn)
-                map_expr(s.rhs, expr_fn)
+                    walk_expr(i, see_expr)
+                walk_expr(s.rhs, see_expr)
             elif isinstance(s, Call):
                 for a in s.args:
-                    map_expr(a, expr_fn)
+                    walk_expr(a, see_expr)
             elif isinstance(s, Pass):
                 pass
             else:

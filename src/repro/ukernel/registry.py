@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.isa.machine import CARMEL, MachineModel
-from repro.isa.targets import family_for_lanes, target_for_machine
+from repro.isa.targets import (
+    ISA_TARGETS,
+    IsaTarget,
+    family_for_lanes,
+    target_for_machine,
+)
 
 from .generator import GeneratedKernel, generate_microkernel
 
@@ -82,22 +87,34 @@ def default_registry() -> KernelRegistry:
     return _default_registry
 
 
-def registry_for_machine(machine: MachineModel) -> KernelRegistry:
-    """The shared registry for a machine's ISA target.
+def _library_key(t: IsaTarget) -> str:
+    """Name the first registered target with ``t``'s instruction library
+    (the same loader) and tile family; targets sharing both share kernels."""
+    lib = t.load_lib or t.lib_value
+    return next(
+        o.name
+        for o in ISA_TARGETS.values()
+        if (o.load_lib or o.lib_value) is lib and o.family == t.family
+    )
 
-    Machines tagged with the same ``isa`` share one registry (and so one
-    set of generated kernels); the Neon target reuses the historical
-    process-wide default registry.
+
+def registry_for_machine(machine: MachineModel) -> KernelRegistry:
+    """The shared registry for the instruction library a machine executes.
+
+    Machines whose targets run the same library and tile family share one
+    registry, and so one set of generated kernels: every machine tagged
+    with one ``isa``, and the 1- and 2-socket AVX-512 servers.  The Neon
+    target reuses the historical process-wide default registry.
     """
-    isa = machine.isa
-    if isa == "neon":
+    t = target_for_machine(machine)
+    key = _library_key(t)
+    if key == "neon":
         return default_registry()
-    if isa not in _machine_registries:
-        t = target_for_machine(machine)
-        _machine_registries[isa] = KernelRegistry(
+    if key not in _machine_registries:
+        _machine_registries[key] = KernelRegistry(
             lib=t.lib, family_shapes=t.family
         )
-    return _machine_registries[isa]
+    return _machine_registries[key]
 
 
 def select_kernel_for(

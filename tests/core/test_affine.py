@@ -11,12 +11,13 @@ from repro.core.affine import (
     diff_constant,
     exprs_equal,
     linearize,
-    simplify_expr,
     try_constant,
 )
 from repro.core.loopir import BinOp, Const, Read, USub
 from repro.core.prelude import Sym
 from repro.core.typesys import INDEX
+
+from helpers import simplify_expr
 
 
 def var(sym):

@@ -9,11 +9,16 @@ types the printer hides) and on printed text (which sees ``1`` against
 ``1.0``) for every fold the generator runs on the pinned backends, and
 for hypothesis-drawn procs covering every node kind the fold descends
 into.
+
+Production folds only the statements a rewrite did not share with its
+fold base, which is sound because the fold is idempotent.  Both halves
+are checked here: idempotence on drawn procs, and every local fold —
+the generator's and one-statement rewrites of drawn procs — against the
+oracle's fold of the whole proc.
 """
 
 from __future__ import annotations
 
-import importlib
 import sys
 from pathlib import Path
 
@@ -23,9 +28,9 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent.parent))
 
-from helpers import family_kernel_specs, generate_family_kernel
+from helpers import family_kernel_specs, generate_family_kernel, simplify_expr
 
-from repro.core.affine import simplify_expr, try_constant
+from repro.core.affine import try_constant
 from repro.core.loopir import (
     Alloc,
     Assign,
@@ -48,8 +53,10 @@ from repro.core.loopir import (
     update,
 )
 from repro.core.memory import DRAM
+from repro.core.patterns import replace_at
 from repro.core.pprint import proc_to_str
 from repro.core.prelude import Sym
+from repro.core.scheduling import subst
 from repro.core.scheduling.subst import fold_constants
 from repro.core.traversal import map_expr, map_stmts
 from repro.core.typesys import BOOL, F32, INDEX, SIZE, TensorType
@@ -118,21 +125,18 @@ def oracle_fold_constants(ir: Proc) -> Proc:
     return update(ir, args=tuple(args), preds=preds, body=body)
 
 
-def assert_fold_parity(ir: Proc) -> None:
-    got, want = fold_constants(ir), oracle_fold_constants(ir)
+def assert_same_fold(got: Proc, want: Proc) -> None:
     assert got == want
     assert proc_to_str(got) == proc_to_str(want)
+
+
+def assert_fold_parity(ir: Proc) -> None:
+    assert_same_fold(fold_constants(ir), oracle_fold_constants(ir))
 
 
 # ---------------------------------------------------------------------------
 # Every fold the generator runs, and every step it keeps
 # ---------------------------------------------------------------------------
-
-#: modules that bound ``fold_constants`` at import time
-_FOLD_USERS = tuple(
-    importlib.import_module(f"repro.core.scheduling.{name}")
-    for name in ("subst", "extra", "loops", "buffers", "replace")
-)
 
 
 @pytest.mark.parametrize(
@@ -141,20 +145,24 @@ _FOLD_USERS = tuple(
     ids=[spec[0] for spec in family_kernel_specs()],
 )
 def test_generator_folds_match_oracle(monkeypatch, label, isa, mr, nr):
-    inputs = []
+    folds = []
 
-    def recording_fold(ir):
-        inputs.append(ir)
-        return fold_constants(ir)
+    def recording_fold(ir, base=None):
+        out = fold_constants(ir, base)
+        folds.append((ir, base, out))
+        return out
 
-    for module in _FOLD_USERS:
-        monkeypatch.setattr(module, "fold_constants", recording_fold)
+    # every primitive folds through ``subst.folded``, which reads the
+    # module's ``fold_constants`` at call time
+    monkeypatch.setattr(subst, "fold_constants", recording_fold)
     parts = generate_family_kernel(isa, mr, nr)
     monkeypatch.undo()
 
-    assert inputs, "generation ran no fold"
-    for ir in inputs:
-        assert_fold_parity(ir)
+    assert folds, "generation ran no fold"
+    assert any(base is not None for _, base, _ in folds), "no fold was local"
+    for ir, _, out in folds:
+        # local or whole, each fold equals the oracle's whole-proc fold
+        assert_same_fold(out, oracle_fold_constants(ir))
     for _, kernel in parts:
         for step in kernel.steps.values():
             assert_fold_parity(step.ir)
@@ -298,6 +306,33 @@ drawn_proc = st.tuples(
 @given(drawn_proc)
 def test_drawn_procs_match_oracle(ir):
     assert_fold_parity(ir)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_proc)
+def test_fold_is_idempotent(ir):
+    """The invariant the local fold rests on: a fold output is a fixed
+    point, so each of its statements may be skipped by the next fold."""
+    once = fold_constants(ir)
+    assert_same_fold(fold_constants(once), once)
+
+
+def _stmt_paths(block, prefix=()):
+    for i, s in enumerate(block):
+        yield prefix + (i,)
+        if isinstance(s, For):
+            yield from _stmt_paths(s.body, prefix + (i,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_proc, stmt, st.data())
+def test_local_fold_of_a_rewrite_matches_oracle(ir, new_stmt, data):
+    """Rewrite one statement of a fold output, anywhere in the nest: the
+    fold against the old output equals the oracle's whole-proc fold."""
+    old = fold_constants(ir)
+    path = data.draw(st.sampled_from(list(_stmt_paths(old.body))))
+    new = replace_at(old, path, [new_stmt])
+    assert_same_fold(fold_constants(new, base=old), oracle_fold_constants(new))
 
 
 _I = Read(_ITERS[0], (), INDEX)

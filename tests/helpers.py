@@ -14,6 +14,9 @@ from typing import Dict
 import numpy as np
 
 from repro.core import Procedure
+from repro.core.affine import delinearize, linearize
+from repro.core.loopir import BinOp, Expr, Read, USub, update
+from repro.core.prelude import NULL_SRC
 from repro.core.typesys import TensorType
 
 
@@ -121,3 +124,25 @@ def generate_family_kernel(isa: str, mr: int, nr: int):
         plan = generate_vla_microkernel(mr, nr, t.lib_factory)
         return [(f"part{off}", kernel) for off, kernel in plan.parts]
     return [("kernel", generate_microkernel(mr, nr, t.lib))]
+
+
+def simplify_expr(e: Expr) -> Expr:
+    """Simplify an index expression to canonical affine form when possible.
+
+    The fold oracle's simplifier (``tests/core/test_fold_parity.py``):
+    production folds each node once through ``subst._fold_node``.
+
+    Non-affine expressions are rebuilt with affine subexpressions simplified.
+    Non-index expressions (data arithmetic) are returned untouched except for
+    recursion into their operands.
+    """
+    lin = linearize(e)
+    if lin is not None:
+        return delinearize(lin, getattr(e, "srcinfo", NULL_SRC))
+    if isinstance(e, BinOp):
+        return update(e, lhs=simplify_expr(e.lhs), rhs=simplify_expr(e.rhs))
+    if isinstance(e, USub):
+        return update(e, arg=simplify_expr(e.arg))
+    if isinstance(e, Read):
+        return update(e, idx=tuple(simplify_expr(i) for i in e.idx))
+    return e

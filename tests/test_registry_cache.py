@@ -1,9 +1,11 @@
 """Cache semantics of the per-machine kernel registries.
 
 Two machines tagged with the same ``isa`` must share one registry (and
-so one set of generated kernels); distinct ISAs must be isolated; and
-the historical Neon process-wide default registry must never be touched
-by a run on another backend.
+so one set of generated kernels), as must two targets that run the same
+instruction library and tile family (``avx512`` and ``numa2s``);
+distinct libraries must be isolated; and the historical Neon
+process-wide default registry must never be touched by a run on another
+backend.
 """
 
 from __future__ import annotations
@@ -12,7 +14,13 @@ import dataclasses
 
 import pytest
 
-from repro.isa.machine import CARMEL, RVV_EDGE_VLEN128, RVV_SERVER_VLEN256
+from repro.isa.machine import (
+    AVX512_SERVER,
+    CARMEL,
+    NUMA_SERVER_2S,
+    RVV_EDGE_VLEN128,
+    RVV_SERVER_VLEN256,
+)
 from repro.ukernel import registry as reg
 
 
@@ -60,3 +68,44 @@ class TestRegistryForMachine:
         r2 = reg.registry_for_machine(RVV_SERVER_VLEN256)
         assert r1 is r2
         assert reg._machine_registries == {"rvv256": r1}
+
+    def test_one_library_shares_one_registry(self, clean_registries):
+        kernel = reg.registry_for_machine(NUMA_SERVER_2S).get(16, 16)
+        assert reg.registry_for_machine(AVX512_SERVER).get(16, 16) is kernel
+        assert list(reg._machine_registries) == ["avx512"]
+
+
+def _numa2s_outputs(tmp_path, monkeypatch, prime_avx512: bool) -> dict:
+    """The numa2s tune artifact and eval reports, from fresh caches."""
+    from repro import tune
+    from repro.eval import harness
+    from repro.eval.__main__ import main as eval_main
+    from repro.tune import executor
+
+    monkeypatch.setattr(reg, "_machine_registries", {})
+    monkeypatch.setattr(harness, "_machine_contexts", {})
+    monkeypatch.setattr(executor, "_contexts", {})
+    problems = ((64, 48, 64), (100, 100, 100))
+    if prime_avx512:
+        tune.sweep(("avx512",), problems, threads=(1, 2))
+    out = {"artifact": tune.sweep(("numa2s",), problems, threads=(1, 2))}
+    outdir = tmp_path / ("shared" if prime_avx512 else "alone")
+    assert eval_main([str(outdir), "--isa", "numa2s", "-q"]) == 0
+    for path in sorted(outdir.iterdir()):
+        lines = path.read_text().splitlines()
+        # SUMMARY.txt's last line reports the host time of the run
+        out[path.name] = [ln for ln in lines if not ln.startswith("regenerated")]
+    return out
+
+
+def test_numa2s_outputs_unchanged_by_sharing(tmp_path, monkeypatch):
+    """numa2s tuned on kernels avx512 generated reports exactly what it
+    reports on kernels of its own, as when registries were keyed by ISA."""
+    by_isa = lambda t: t.name  # noqa: E731
+    with monkeypatch.context() as m:
+        m.setattr(reg, "_library_key", by_isa)
+        alone = _numa2s_outputs(tmp_path, m, prime_avx512=False)
+    with monkeypatch.context() as m:
+        shared = _numa2s_outputs(tmp_path, m, prime_avx512=True)
+        assert "numa2s" not in reg._machine_registries
+    assert shared == alone
